@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
+#include <deque>
 #include <mutex>
-#include <optional>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
-#include "engine/sharded_store.h"
+#include "scheduler/txn_runner.h"
+#include "scheduler/waits_for.h"
 
 namespace nse {
 
@@ -19,11 +17,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-uint64_t MicrosSince(Clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            start)
-          .count());
+void SleepMicros(uint64_t micros) {
+  if (micros > 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(micros));
+  }
 }
 
 /// Why a transaction was condemned from outside its own worker.
@@ -33,77 +30,48 @@ enum CondemnKind : uint8_t {
   kDeadlockVictim = 2,  // chosen by the waits-for cycle detector
 };
 
-/// One buffered operation of an in-flight incarnation: the policy-issued
-/// trace sequence number, the operation itself, and — for reads granted
-/// with a version annotation (multiversion policies) — the writer of the
-/// observed version. Commit splices these into the global trace; abort
-/// drops them.
-struct PendingOp {
-  uint64_t seq = 0;
-  Operation op;
-  std::optional<TxnId> read_from;
+/// A worker's waiting-registry entry: its blocked txn (0 = none) and step.
+struct WaitingSlot {
+  TxnId txn = 0;
+  size_t step = 0;
 };
 
-/// Everything the workers share. Counters are atomics; the trace and the
-/// waiting registry have their own mutexes; the deadlock detector is
-/// serialized by try_lock on detect_mu (a second concurrent detection of
-/// the same stall adds nothing).
+/// Everything the workers share.
 struct EngineShared {
-  const std::vector<TxnScript>& scripts;
-  SchedulerPolicy& policy;
+  RunContext& run;
   const EngineConfig& config;
-  ShardedValueStore store;
   Clock::time_point start;
   Clock::time_point deadline;
 
-  // Per-txn flags (index = txn - 1).
+  // Per txn (index txn - 1). Only the txn's own worker consumes its flag,
+  // so a wound that lands after the commit is moot.
   std::vector<std::atomic<uint8_t>> condemned;
-  std::vector<std::atomic<bool>> done;
-  // Waiting registry: step index the txn is blocked on, or -1 if not
-  // waiting. Guarded by waiting_mu (the detector snapshots it).
-  std::vector<int64_t> waiting_step;
-  std::mutex waiting_mu;
+  // The waiting registry, one slot per worker, and a persistent waits-for
+  // graph over worker slots (node = slot + 1): only a claimed transaction
+  // can wait or hold a footprint, so the graph has `threads` nodes however
+  // many scripts the run has. Both guarded by detect_mu.
+  std::vector<WaitingSlot> waiting;
+  WaitsForTracker waits;
   std::mutex detect_mu;
 
   std::atomic<size_t> next_txn{0};
-  // Bumped on every state change (granted op, skip, commit, abort). A
-  // blocked worker that times out with this counter unmoved scores a
-  // stall strike; stall_patience consecutive strikes with no waits-for
-  // cycle is a wedged policy.
+  // Bumped on every state change (granted op, skip, commit, abort).
   std::atomic<uint64_t> progress{0};
-
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> aborts{0};
-  std::atomic<uint64_t> restarts{0};
-  std::atomic<uint64_t> wounds{0};
-  std::atomic<uint64_t> skipped_ops{0};
-  std::atomic<uint64_t> committed_skipped{0};
-  std::atomic<uint64_t> wait_events{0};
-  std::atomic<uint64_t> max_txn_restarts{0};
-  // Final restart count per txn (index = txn - 1). Each slot has exactly
-  // one writer (the worker that commits that txn, before join); the join
-  // is the synchronization point for the readers below.
-  std::vector<uint64_t> txn_restarts;
-
-  std::mutex trace_mu;
-  std::vector<PendingOp> trace;
+  // Claimed, unfinished transactions not waiting on the hub: executing,
+  // paying an operation latency, or backing off.
+  std::atomic<size_t> running{0};
 
   std::atomic<bool> failed{false};
   std::mutex fail_mu;
   Status failure = Status::Ok();
 
-  EngineShared(const std::vector<TxnScript>& s, SchedulerPolicy& p,
-               const EngineConfig& c, size_t num_items)
-      : scripts(s),
-        policy(p),
+  EngineShared(RunContext& r, const EngineConfig& c)
+      : run(r),
         config(c),
-        store(num_items),
         start(Clock::now()),
-        deadline(start + std::chrono::microseconds(c.max_wall_micros)),
-        condemned(s.size()),
-        done(s.size()),
-        waiting_step(s.size(), -1),
-        txn_restarts(s.size(), 0) {}
+        deadline(start + std::chrono::microseconds(config.max_wall_micros)),
+        condemned(r.scripts().size()),
+        waiting(config.threads) {}
 
   /// Records the first failure and wakes everyone so workers drain out.
   void Fail(Status status) {
@@ -112,328 +80,213 @@ struct EngineShared {
       if (failure.ok()) failure = std::move(status);
     }
     failed.store(true, std::memory_order_release);
-    policy.Poke();
+    run.policy().Poke();
   }
 
-  void BumpMaxRestarts(uint64_t count) {
-    uint64_t seen = max_txn_restarts.load(std::memory_order_relaxed);
-    while (seen < count && !max_txn_restarts.compare_exchange_weak(
-                               seen, count, std::memory_order_relaxed)) {
-    }
-  }
+  bool HasFailed() const { return failed.load(std::memory_order_acquire); }
+
+  void Progress() { progress.fetch_add(1, std::memory_order_acq_rel); }
 };
 
-/// Mark `victims` condemned (skipping finished transactions — a wound that
-/// raced with the victim's commit is moot) and wake any that are blocked.
-/// Returns true if any flag was newly set.
-bool DeliverCondemnations(EngineShared& shared,
+/// One worker thread's registry slot, ledger (summed after join) and runner.
+struct Worker {
+  Worker(EngineShared& shared, size_t s)
+      : slot(s), runner(shared.run, tally) {}
+  Worker(const Worker&) = delete;  // its thread holds its address
+  size_t slot;
+  RunResult tally;
+  uint64_t wait_events = 0;
+  TxnRunner runner;
+};
+
+/// Marks `victims` condemned (a pending flag stays) and wakes the blocked.
+void DeliverCondemnations(EngineShared& shared,
                           const std::vector<TxnId>& victims,
                           CondemnKind kind) {
-  bool delivered = false;
   for (TxnId victim : victims) {
-    size_t idx = victim - 1;
-    NSE_CHECK_MSG(victim >= 1 && idx < shared.scripts.size(),
+    NSE_CHECK_MSG(victim >= 1 && victim <= shared.condemned.size(),
                   "policy condemned an unknown transaction %u", victim);
-    if (shared.done[idx].load(std::memory_order_acquire)) continue;
     uint8_t expected = kNotCondemned;
-    if (shared.condemned[idx].compare_exchange_strong(
-            expected, kind, std::memory_order_acq_rel)) {
-      delivered = true;
-    }
+    shared.condemned[victim - 1].compare_exchange_strong(
+        expected, kind, std::memory_order_acq_rel);
   }
-  if (delivered) shared.policy.Poke();
-  return delivered;
+  if (!victims.empty()) shared.run.policy().Poke();
 }
 
-/// Waits-for snapshot over the waiting registry, cycle search, victim
-/// selection (largest id in the cycle, matching the simulator). Runs under
-/// try_lock — a concurrent detection of the same stall is skipped. Returns
-/// true if a victim was condemned. A racy snapshot can at worst condemn a
-/// transaction whose cycle was already dissolving; that costs one
-/// unnecessary restart, never safety.
-bool TryDetectDeadlock(EngineShared& shared) {
+enum class Detection {  // what a timed-out waiter's deadlock check found
+  kBusy,       // another waiter holds the detector
+  kResolving,  // a waiting transaction is condemned and will roll back
+  kNoCycle,    // the waiters form no cycle and none is condemned
+};
+
+/// Diffs the waiting registry into the persistent waits-for graph and, if
+/// it closed a cycle, condemns the largest transaction id in it (matching
+/// the simulator). Runs under try_lock: a second detection of the same
+/// stall adds nothing. A racy snapshot can at worst condemn a transaction
+/// whose cycle was already dissolving: one needless restart, never unsafe.
+Detection TryDetectDeadlock(EngineShared& shared) {
   std::unique_lock<std::mutex> detect(shared.detect_mu, std::try_to_lock);
-  if (!detect.owns_lock()) return false;
+  if (!detect.owns_lock()) return Detection::kBusy;
+  const std::vector<WaitingSlot>& waiting = shared.waiting;
+  for (const WaitingSlot& slot : waiting) {  // a condemned waiter will wake
+    if (slot.txn != 0 && shared.condemned[slot.txn - 1].load(
+                             std::memory_order_acquire) != kNotCondemned) {
+      return Detection::kResolving;
+    }
+  }
+  // A cycle needs every participant blocked, so only blockers that are
+  // themselves waiting become edges; a running blocker moves on its own.
+  auto slot_of = [&waiting](TxnId txn) -> TxnId {
+    for (size_t s = 0; txn != 0 && s < waiting.size(); ++s) {
+      if (waiting[s].txn == txn) return static_cast<TxnId>(s + 1);
+    }
+    return 0;
+  };
+  std::vector<TxnId> blocker_slots;
+  for (size_t s = 0; s < waiting.size(); ++s) {
+    blocker_slots.clear();
+    if (waiting[s].txn != 0) {
+      const TxnId txn = waiting[s].txn;
+      for (TxnId blocker : shared.run.policy().Blockers(
+               txn, shared.run.scripts()[txn - 1], waiting[s].step)) {
+        if (TxnId node = slot_of(blocker); node != 0) {
+          blocker_slots.push_back(node);
+        }
+      }
+    }
+    shared.waits.SetWaits(static_cast<TxnId>(s + 1), blocker_slots);
+  }
+  if (!shared.waits.cycle().has_value()) return Detection::kNoCycle;
+  TxnId victim = 0;
+  for (TxnId node : *shared.waits.cycle()) {
+    victim = std::max(victim, waiting[node - 1].txn);
+  }
+  DeliverCondemnations(shared, {victim}, kDeadlockVictim);
+  return Detection::kResolving;
+}
 
-  std::vector<std::pair<TxnId, size_t>> waiting;
+/// Waits out a kWait verdict until the hub moves, the transaction is
+/// condemned, or the run fails. A timed-out waiter runs the deadlock
+/// detector, and scores a stall strike only if it found no cycle and no
+/// pending condemnation, nothing progressed, and no claimed transaction is
+/// running: a slow lock holder or a slow victim is not a stall.
+void AwaitRetry(EngineShared& shared, Worker& worker, size_t index) {
+  const WaitTicket& ticket = worker.runner.wait_ticket();
   {
-    std::lock_guard<std::mutex> lock(shared.waiting_mu);
-    for (size_t i = 0; i < shared.waiting_step.size(); ++i) {
-      if (shared.waiting_step[i] >= 0) {
-        waiting.emplace_back(static_cast<TxnId>(i + 1),
-                             static_cast<size_t>(shared.waiting_step[i]));
-      }
+    std::lock_guard<std::mutex> lock(shared.detect_mu);
+    shared.waiting[worker.slot] =
+        WaitingSlot{static_cast<TxnId>(index + 1), worker.runner.pc()};
+  }
+  shared.running.fetch_sub(1, std::memory_order_acq_rel);
+  uint64_t strikes = 0;
+  while (!shared.HasFailed()) {
+    uint64_t seen_progress = shared.progress.load(std::memory_order_acquire);
+    bool moved = ticket.hub->AwaitChange(ticket.epoch,
+                                         shared.config.wait_timeout_micros);
+    if (shared.condemned[index].load(std::memory_order_acquire) !=
+        kNotCondemned) {
+      break;  // consumed at the next safe point
+    }
+    // A footprint was released somewhere: retry. Past the deadline, the
+    // caller's next check fails the run.
+    if (moved || Clock::now() > shared.deadline) break;
+    const Detection detection = TryDetectDeadlock(shared);
+    if (detection == Detection::kBusy) continue;
+    if (detection == Detection::kResolving ||
+        shared.progress.load(std::memory_order_acquire) != seen_progress ||
+        shared.running.load(std::memory_order_acquire) > 0) {
+      strikes = 0;
+      continue;
+    }
+    if (++strikes > shared.config.stall_patience) {
+      shared.Fail(Status::Internal(
+          "engine stalled: blocked transactions but no waits-for cycle"));
+      break;
     }
   }
-  if (waiting.size() < 2) return false;
-
-  // A cycle needs every participant blocked, so only edges between
-  // currently-waiting transactions matter; a running blocker will move on
-  // its own.
-  std::unordered_set<TxnId> waiting_set;
-  for (const auto& entry : waiting) waiting_set.insert(entry.first);
-  std::unordered_map<TxnId, std::vector<TxnId>> edges;
-  for (const auto& [txn, step] : waiting) {
-    for (TxnId blocker :
-         shared.policy.Blockers(txn, shared.scripts[txn - 1], step)) {
-      if (blocker != txn && waiting_set.count(blocker) > 0) {
-        edges[txn].push_back(blocker);
-      }
-    }
-  }
-
-  // Iterative-enough DFS (recursion depth <= #waiting txns) collecting the
-  // first cycle found.
-  std::unordered_map<TxnId, int> color;  // 0 white, 1 on path, 2 finished
-  std::vector<TxnId> path;
-  std::vector<TxnId> cycle;
-  std::function<bool(TxnId)> visit = [&](TxnId node) {
-    color[node] = 1;
-    path.push_back(node);
-    for (TxnId next : edges[node]) {
-      int c = color[next];
-      if (c == 1) {
-        auto it = std::find(path.begin(), path.end(), next);
-        cycle.assign(it, path.end());
-        return true;
-      }
-      if (c == 0 && visit(next)) return true;
-    }
-    path.pop_back();
-    color[node] = 2;
-    return false;
-  };
-  for (const auto& entry : waiting) {
-    if (color[entry.first] == 0 && visit(entry.first)) break;
-  }
-  if (cycle.empty()) return false;
-
-  TxnId victim = *std::max_element(cycle.begin(), cycle.end());
-  return DeliverCondemnations(shared, {victim}, kDeadlockVictim);
+  shared.running.fetch_add(1, std::memory_order_acq_rel);
+  std::lock_guard<std::mutex> lock(shared.detect_mu);
+  shared.waiting[worker.slot] = WaitingSlot{};
 }
 
-/// Synthetic per-operation work: optional sleep (simulated I/O — this is
-/// what makes thread scaling visible even on one core) plus optional spin.
-void PayOperationCost(const EngineConfig& config) {
-  if (config.op_latency_micros > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config.op_latency_micros));
-  }
-  if (config.op_cost > 0) {
-    volatile uint64_t sink = 0;
-    for (uint64_t i = 0; i < config.op_cost; ++i) sink += i;
-    (void)sink;
-  }
+/// Rolls the incarnation back and pays the RestartPolicy backoff.
+void RestartTxn(EngineShared& shared, TxnRunner& runner,
+                TxnRunner::Cause cause) {
+  runner.Restart(cause);
+  shared.Progress();
+  SleepMicros(runner.BackoffDelay() * shared.config.backoff_unit_micros);
 }
 
-/// Drives one transaction to commit, restarting across aborts. Returns
-/// false iff the run failed (shared.failure holds why).
-bool RunOneTxn(EngineShared& shared, size_t index) {
-  const TxnScript& script = shared.scripts[index];
-  const TxnId txn = static_cast<TxnId>(index + 1);
-  const EngineConfig& config = shared.config;
-  uint64_t restart_count = 0;
-  std::vector<PendingOp> buffer;
-
-  // Consume a pending condemnation: roll the incarnation back and count
-  // the event by kind. Returns through the incarnation loop.
-  auto consume_condemnation = [&](uint8_t why) {
-    if (why == kWounded) {
-      shared.wounds.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      shared.aborts.fetch_add(1, std::memory_order_relaxed);
+/// Drives one transaction until it commits or crashes. Returns false iff
+/// the run failed (shared.failure holds why).
+bool RunOneTxn(EngineShared& shared, Worker& worker, size_t index) {
+  TxnRunner& runner = worker.runner;
+  runner.Begin(static_cast<TxnId>(index + 1));
+  std::vector<TxnId> wounded;
+  for (;;) {
+    if (shared.HasFailed()) return false;
+    if (Clock::now() > shared.deadline) {
+      shared.Fail(Status::DeadlineExceeded("engine exceeded max_wall_micros"));
+      return false;
     }
-  };
-
-  auto backoff = [&]() {
-    uint64_t delay =
-        RestartBackoffDelay(config.restart, txn, restart_count) *
-        config.backoff_unit_micros;
-    if (delay > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay));
+    // Safe point: honor a wound / deadlock condemnation before any further
+    // work under this incarnation.
+    uint8_t why = shared.condemned[index].exchange(kNotCondemned,
+                                                   std::memory_order_acq_rel);
+    if (why != kNotCondemned) {
+      RestartTxn(shared, runner,
+                 why == kWounded ? TxnRunner::Cause::kWound
+                                 : TxnRunner::Cause::kDeadlock);
+      continue;
     }
-  };
-
-  for (;;) {  // one iteration = one incarnation
-    buffer.clear();
-    size_t pc = 0;
-    uint64_t skips_this_life = 0;
-    bool aborted = false;
-    while (pc < script.steps.size()) {
-      if (shared.failed.load(std::memory_order_acquire)) return false;
-      if (Clock::now() > shared.deadline) {
-        shared.Fail(Status::DeadlineExceeded(
-            "engine exceeded max_wall_micros"));
-        return false;
-      }
-      // Safe point: honor a wound / deadlock condemnation before doing
-      // any further work under this incarnation.
-      uint8_t why = shared.condemned[index].exchange(
-          kNotCondemned, std::memory_order_acq_rel);
-      if (why != kNotCondemned) {
-        consume_condemnation(why);
-        aborted = true;
-        break;
-      }
-
-      Result<AccessGrant> grant =
-          shared.policy.RequestAccess(txn, script, pc);
-      if (!grant.ok()) {
-        shared.Fail(grant.status());
-        return false;
-      }
-      // Wound path: deliver any condemnations this request issued before
-      // acting on our own verdict (the victims' workers roll them back).
-      DeliverCondemnations(shared, shared.policy.DrainCondemned(),
-                           kWounded);
-
-      switch (grant->verdict) {
-        case AccessVerdict::kGranted: {
-          const AccessStep& step = script.steps[pc];
-          Value traced(0);
-          std::optional<TxnId> read_from;
-          if (step.action == OpAction::kRead) {
-            if (grant->read_view.has_value()) {
-              // Multiversion read: the policy already resolved which
-              // version this read observes — the shared single-version
-              // store would return the *newest* write, not ours.
-              traced = Value(grant->read_view->value);
-              read_from = grant->read_view->writer;
-            } else {
-              Result<int64_t> value = shared.store.Read(step.item);
-              if (!value.ok()) {
-                shared.Fail(value.status());
-                return false;
-              }
-              traced = Value(*value);
-            }
-          } else {
-            Status written = shared.store.Write(
-                step.item, static_cast<int64_t>(grant->trace_seq));
-            if (!written.ok()) {
-              shared.Fail(written);
-              return false;
-            }
-            traced = Value(static_cast<int64_t>(grant->trace_seq));
-          }
-          buffer.push_back(PendingOp{
-              grant->trace_seq,
-              step.action == OpAction::kRead
-                  ? Operation::Read(txn, step.item, traced)
-                  : Operation::Write(txn, step.item, traced),
-              read_from});
-          PayOperationCost(config);
-          ++pc;
-          shared.progress.fetch_add(1, std::memory_order_acq_rel);
-          break;
-        }
-        case AccessVerdict::kSkip:
-          shared.skipped_ops.fetch_add(1, std::memory_order_relaxed);
-          ++skips_this_life;
-          ++pc;
-          shared.progress.fetch_add(1, std::memory_order_acq_rel);
-          break;
-        case AccessVerdict::kAbortSelf:
-          shared.restarts.fetch_add(1, std::memory_order_relaxed);
-          aborted = true;
-          break;
-        case AccessVerdict::kWait: {
-          shared.wait_events.fetch_add(1, std::memory_order_relaxed);
-          NSE_CHECK_MSG(grant->wait.hub != nullptr,
-                        "kWait grant without a wait ticket");
-          {
-            std::lock_guard<std::mutex> lock(shared.waiting_mu);
-            shared.waiting_step[index] = static_cast<int64_t>(pc);
-          }
-          uint64_t strikes = 0;
-          uint64_t ticket_epoch = grant->wait.epoch;
-          while (!shared.failed.load(std::memory_order_acquire)) {
-            uint64_t seen_progress =
-                shared.progress.load(std::memory_order_acquire);
-            bool moved = grant->wait.hub->AwaitChange(
-                ticket_epoch, config.wait_timeout_micros);
-            if (shared.condemned[index].load(std::memory_order_acquire) !=
-                kNotCondemned) {
-              break;  // consumed at the loop-top safe point
-            }
-            if (moved) break;  // footprint released somewhere: retry
-            if (Clock::now() > shared.deadline) {
-              shared.Fail(Status::DeadlineExceeded(
-                  "engine exceeded max_wall_micros while blocked"));
-              break;
-            }
-            // Timed out with a stale epoch: we are the detector now.
-            if (TryDetectDeadlock(shared)) {
-              strikes = 0;
-              continue;
-            }
-            if (shared.progress.load(std::memory_order_acquire) !=
-                seen_progress) {
-              strikes = 0;
-              continue;
-            }
-            if (++strikes > config.stall_patience) {
-              shared.Fail(Status::Internal(
-                  "engine stalled: blocked transactions but no waits-for "
-                  "cycle"));
-              break;
-            }
-          }
-          {
-            std::lock_guard<std::mutex> lock(shared.waiting_mu);
-            shared.waiting_step[index] = -1;
-          }
-          break;  // retry the same pc (or consume the condemnation)
-        }
-      }
-      if (aborted) break;
-    }
-
-    if (shared.failed.load(std::memory_order_acquire)) return false;
-
-    if (!aborted) {
-      // Last safe point: a wound that lands after this check raced with
-      // the commit and is moot (the condemner only needed our footprint,
-      // which Commit releases).
-      uint8_t why = shared.condemned[index].exchange(
-          kNotCondemned, std::memory_order_acq_rel);
-      if (why != kNotCondemned) {
-        consume_condemnation(why);
-        aborted = true;
-      }
-    }
-
-    if (!aborted) {
-      shared.policy.Commit(txn);
-      shared.done[index].store(true, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lock(shared.trace_mu);
-        shared.trace.insert(shared.trace.end(), buffer.begin(),
-                            buffer.end());
-      }
-      shared.committed_skipped.fetch_add(skips_this_life,
-                                         std::memory_order_relaxed);
-      shared.txn_restarts[index] = restart_count;
-      shared.completed.fetch_add(1, std::memory_order_relaxed);
-      shared.progress.fetch_add(1, std::memory_order_acq_rel);
+    if (runner.finished()) {
+      runner.Commit();
+      shared.Progress();
       return true;
     }
-
-    // Abort path: retract the footprint (Abort Pokes the hub), discard
-    // the buffered ops, back off, go again.
-    shared.policy.Abort(txn);
-    ++restart_count;
-    shared.BumpMaxRestarts(restart_count);
-    shared.progress.fetch_add(1, std::memory_order_acq_rel);
-    backoff();
+    TxnRunner::Outcome outcome = runner.Step(&wounded);
+    // The victims' workers roll them back at their next safe point.
+    DeliverCondemnations(shared, wounded, kWounded);
+    switch (outcome) {
+      case TxnRunner::Outcome::kGranted:
+        // Simulated I/O, paid while holding the scheduler footprint: this
+        // is what makes thread scaling visible even on one core.
+        SleepMicros(shared.config.op_latency_micros);
+        shared.Progress();
+        break;
+      case TxnRunner::Outcome::kSkipped:
+        shared.Progress();
+        break;
+      case TxnRunner::Outcome::kWait:
+        ++worker.wait_events;
+        AwaitRetry(shared, worker, index);
+        break;  // retry the same pc (or consume the condemnation)
+      case TxnRunner::Outcome::kRestart:
+        RestartTxn(shared, runner, runner.cause());
+        break;
+      case TxnRunner::Outcome::kLatencySpike:
+        SleepMicros(runner.spike_ticks() * shared.config.backoff_unit_micros);
+        break;
+      case TxnRunner::Outcome::kCrash:
+        runner.Crash();
+        shared.Progress();
+        return true;
+      case TxnRunner::Outcome::kFailed:
+        shared.Fail(runner.failure());
+        return false;
+    }
   }
 }
 
-void WorkerMain(EngineShared& shared) {
+void WorkerMain(EngineShared& shared, Worker& worker) {
+  const size_t n = shared.run.scripts().size();
   for (;;) {
     size_t index = shared.next_txn.fetch_add(1, std::memory_order_relaxed);
-    if (index >= shared.scripts.size()) return;
-    if (!RunOneTxn(shared, index)) return;
+    if (index >= n) return;
+    shared.running.fetch_add(1, std::memory_order_acq_rel);
+    bool ok = RunOneTxn(shared, worker, index);
+    shared.running.fetch_sub(1, std::memory_order_acq_rel);
+    if (!ok) return;
   }
 }
 
@@ -443,11 +296,6 @@ Result<EngineResult> RunEngine(SchedulerPolicy& policy,
                                const std::vector<TxnScript>& scripts,
                                const EngineConfig& config) {
   NSE_RETURN_IF_ERROR(config.Validate());
-  if (config.faults != nullptr) {
-    return Status::Unimplemented(
-        "fault injection is simulator-only; run the FaultPlan through "
-        "RunSimulation");
-  }
   if (config.restart.max_restarts_before_boost > 0) {
     return Status::Unimplemented(
         "the starvation watchdog (max_restarts_before_boost) is "
@@ -458,63 +306,40 @@ Result<EngineResult> RunEngine(SchedulerPolicy& policy,
         "the admission gate (max_live_txns) is simulator-only");
   }
 
-  ItemId max_item = 0;
-  for (const TxnScript& script : scripts) {
-    for (const AccessStep& step : script.steps) {
-      max_item = std::max(max_item, step.item);
-    }
-  }
-  EngineShared shared(scripts, policy, config,
-                      static_cast<size_t>(max_item) + 1);
-
-  std::vector<std::thread> workers;
-  workers.reserve(config.threads);
+  RunContext run(policy, scripts, config, config.threads == 1);
+  EngineShared shared(run, config);
+  std::deque<Worker> workers;  // stable addresses: runners point at tallies
+  std::vector<std::thread> threads;
   for (size_t i = 0; i < config.threads; ++i) {
-    workers.emplace_back([&shared] { WorkerMain(shared); });
+    Worker& worker = workers.emplace_back(shared, i);
+    threads.emplace_back([&shared, &worker] { WorkerMain(shared, worker); });
   }
-  for (std::thread& worker : workers) worker.join();
+  for (std::thread& thread : threads) thread.join();
 
-  if (shared.failed.load(std::memory_order_acquire)) {
+  if (shared.HasFailed()) {
     std::lock_guard<std::mutex> lock(shared.fail_mu);
     return shared.failure;
   }
-  if (shared.completed.load() != scripts.size()) {
+  EngineResult result;
+  for (const Worker& worker : workers) {
+    result.Absorb(worker.tally);
+    result.wait_events += worker.wait_events;
+  }
+  if (result.completed + result.crashes != scripts.size()) {
     return Status::Internal(
         "engine finished without committing every transaction");
   }
-
-  std::sort(shared.trace.begin(), shared.trace.end(),
-            [](const PendingOp& a, const PendingOp& b) {
-              return a.seq < b.seq;
-            });
-  OpSequence ops;
-  ops.reserve(shared.trace.size());
-  EngineResult result;
-  result.read_sources.reserve(shared.trace.size());
-  for (const PendingOp& pending : shared.trace) {
-    ops.push_back(pending.op);
-    result.read_sources.push_back(pending.read_from);
-  }
-
-  result.completed = shared.completed.load();
-  result.aborts = shared.aborts.load();
-  result.restarts = shared.restarts.load();
-  result.wounds = shared.wounds.load();
-  result.vetoes = policy.veto_events();
-  result.skipped_ops = shared.skipped_ops.load();
-  result.committed_skipped_ops = shared.committed_skipped.load();
-  result.wait_events = shared.wait_events.load();
-  result.max_txn_restarts = shared.max_txn_restarts.load();
-  result.txn_restarts = std::move(shared.txn_restarts);
-  result.total_ops = ops.size();
-  result.wall_micros = MicrosSince(shared.start);
+  run.Finish(result);
+  result.wall_micros = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                            shared.start)
+          .count());
   result.threads = config.threads;
   result.throughput_tps =
       result.wall_micros == 0
           ? 0
           : static_cast<double>(result.completed) * 1e6 /
                 static_cast<double>(result.wall_micros);
-  result.schedule = Schedule(std::move(ops));
   return result;
 }
 

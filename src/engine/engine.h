@@ -1,74 +1,48 @@
 // Wall-clock multithreaded transaction engine: N worker threads drive
 // scripted transactions against a shared SchedulerPolicy for real — OS
 // threads, blocking waits, wound delivery and deadlock detection under
-// races — where the tick simulator (scheduler/sim.h) drives the identical
-// policy contract deterministically.
-//
-// Each worker claims one transaction at a time and runs it to commit,
-// restarting it on aborts (deadlock victim, wound, policy kAbortSelf).
-// Blocked requests wait on the policy's WaitHub with a bounded timeout;
-// a timed-out waiter doubles as the deadlock detector (waits-for snapshot
-// over the waiting registry, victim = largest id in the cycle, matching
-// the simulator). Granted operations execute against a ShardedValueStore
-// and are buffered with their policy-issued trace_seq; a commit splices
-// the buffer into the global trace, an abort discards it. Sorting the
-// committed trace by trace_seq therefore linearizes it exactly as the
-// policy serialized the conflicts — that Schedule is what the analysis
-// checkers verify against each policy's promised class.
+// races — where the tick simulator (scheduler/sim.h) drives the same
+// policy contract deterministically. Both step transactions through one
+// TxnRunner (scheduler/txn_runner.h), which executes, buffers, commits,
+// aborts and injects faults; what stays here is the worker loop. Each
+// worker claims one transaction at a time and runs it to commit (or an
+// injected crash). Blocked requests wait on the policy's WaitHub with a
+// bounded timeout; a timed-out waiter doubles as the deadlock detector,
+// diffing the waiting workers into a persistent WaitsForTracker and
+// condemning the largest id in a cycle, as the simulator does.
 
 #ifndef NSE_ENGINE_ENGINE_H_
 #define NSE_ENGINE_ENGINE_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "engine/engine_config.h"
 #include "scheduler/scheduler.h"
-#include "txn/schedule.h"
+#include "scheduler/txn_runner.h"
 
 namespace nse {
 
-/// Aggregate outcome of one engine run. Event counters are exact (atomic)
-/// but their interleaving is nondeterministic run to run; only `completed`,
-/// `total_ops` and the trace's class membership are stable contracts.
-struct EngineResult {
-  uint64_t completed = 0;        ///< transactions committed (== scripts run)
-  uint64_t aborts = 0;           ///< deadlock-victim aborts (each restarts)
-  uint64_t restarts = 0;         ///< policy-requested kAbortSelf events
-  uint64_t wounds = 0;           ///< wound aborts actually delivered
-  uint64_t vetoes = 0;           ///< policy veto_events() at quiescence
-  uint64_t skipped_ops = 0;      ///< kSkip verdicts (Thomas-rule elisions)
-  uint64_t committed_skipped_ops = 0;  ///< kSkip verdicts of incarnations
-                                       ///< that committed; pins total_ops +
-                                       ///< committed_skipped_ops == sum of
-                                       ///< committed script lengths
+/// Aggregate outcome of one engine run: the shared RunResult ledger plus
+/// wall-clock figures. Event counters are exact but their interleaving is
+/// nondeterministic run to run; only `completed`, `crashes`, `total_ops`
+/// and the trace's class membership are stable contracts.
+struct EngineResult : RunResult {
   uint64_t wait_events = 0;      ///< kWait verdicts (each = one hub wait)
-  uint64_t max_txn_restarts = 0; ///< max restarts of any single txn
-  uint64_t total_ops = 0;        ///< committed operations in the trace
   uint64_t wall_micros = 0;      ///< wall-clock duration of the run
   size_t threads = 0;            ///< worker threads used
   double throughput_tps = 0;     ///< committed transactions per second
-  Schedule schedule;             ///< committed trace, linearized by trace_seq
-  /// Per-position version annotation, parallel to schedule.ops(): for a
-  /// read granted with an AccessGrant::read_view (multiversion policies),
-  /// the transaction whose write produced the observed version (0 = the
-  /// initial state). Absent for writes and single-version reads.
-  std::vector<std::optional<TxnId>> read_sources;
-  /// Restarts (of any kind) per transaction, index txn-1. Read-only
-  /// transactions under MVTO/SI must show 0 here.
-  std::vector<uint64_t> txn_restarts;
 };
 
-/// Runs `scripts` to completion under `policy` with `config.threads`
-/// workers. Transaction ids are 1-based script indices; arrival_tick is a
-/// simulator notion and is ignored here (workers claim scripts in id
-/// order). Fails on an invalid config, on simulator-only knobs the engine
-/// does not implement (fault injection, starvation boost, admission gate —
-/// Unimplemented), on a malformed policy request, on a stall with no
-/// waits-for cycle (policy bug), or past the max_wall_micros deadline.
-/// On success every transaction committed: completed == scripts.size().
+/// Runs `scripts` under `policy` with `config.threads` workers, claimed in
+/// id order (transaction ids are 1-based script indices; arrival ticks and
+/// a FaultPlan's arrival perturbation are simulator notions). A latency
+/// spike of k ticks sleeps k * backoff_unit_micros. Fails on an invalid
+/// config, on the simulator-only watchdog or admission gate
+/// (Unimplemented), on a malformed policy request, on a stall with no
+/// waits-for cycle (policy bug), or past max_wall_micros. On success
+/// completed + crashes == scripts.size().
 Result<EngineResult> RunEngine(SchedulerPolicy& policy,
                                const std::vector<TxnScript>& scripts,
                                const EngineConfig& config = EngineConfig());

@@ -43,11 +43,6 @@ Status EngineConfig::Validate() const {
   return Status::Ok();
 }
 
-Result<EngineConfig> EngineConfig::Builder::Build() const {
-  NSE_RETURN_IF_ERROR(cfg_.Validate());
-  return cfg_;
-}
-
 uint64_t RestartBackoffDelay(const RestartPolicy& rp, TxnId txn, uint64_t n) {
   uint64_t delay = 0;
   switch (rp.backoff) {

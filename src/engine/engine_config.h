@@ -1,10 +1,8 @@
 // Shared run configuration for the two scheduler drivers — the wall-clock
 // multithreaded engine (engine.h) and the deterministic tick simulator
-// (scheduler/sim.h). One validated config replaces the old grow-by-accretion
-// SimConfig struct: every knob combination is checked by Validate() (invoked
-// by both drivers at entry), and the fluent Builder returns
-// Result<EngineConfig> so inconsistent combinations are rejected at
-// construction instead of silently accepted.
+// (scheduler/sim.h). Every knob combination is checked by Validate(),
+// which both drivers invoke at entry, so inconsistent combinations are
+// rejected instead of silently accepted.
 //
 // The RestartPolicy (backoff shape, starvation watchdog, admission gate)
 // lives here too, along with the pure backoff-delay function both drivers
@@ -46,15 +44,12 @@ struct RestartPolicy {
   uint64_t jitter = 0;
   uint64_t jitter_seed = 1;
   /// Starvation watchdog: once a transaction's restart count exceeds this,
-  /// it is *boosted* rather than left to lose every future race.
-  /// Escalations are strictly serialized: the lowest-id boosted unfinished
-  /// transaction holds the privilege — zero backoff and scanned ahead of
-  /// everyone else each tick — while any other boosted transaction is
-  /// *parked* (idle, holding no footprint) until the privileged one
-  /// finishes. Giving several chronic restarters free restarts at once
-  /// would just trade livelock-by-backoff for livelock-by-collision (two
-  /// free restarters can re-abort each other forever). 0 disables.
-  /// Simulator-only; the engine rejects it (Unimplemented).
+  /// it is *boosted* rather than left to lose every future race. The
+  /// lowest-id boosted unfinished transaction holds the privilege (zero
+  /// backoff, scanned first each tick); other boosted ones are *parked*
+  /// until it finishes, since two free restarters can re-abort each other
+  /// forever. 0 disables. Simulator-only; the engine rejects it
+  /// (Unimplemented).
   uint64_t max_restarts_before_boost = 0;
   /// Admission gate: max transactions live (admitted, not yet done) at
   /// once. 0 = unlimited. Arrivals beyond the gate are queued (admitted in
@@ -66,22 +61,22 @@ struct RestartPolicy {
 };
 
 /// Run limits and switches for both drivers. Aggregate-constructible with
-/// the historical defaults (so `EngineConfig{}` is the legacy SimConfig);
-/// prefer the Builder for anything non-default — it validates at Build().
+/// the historical defaults (`EngineConfig{}` is the legacy SimConfig).
 struct EngineConfig {
   // ---- shared knobs (simulator and engine) ------------------------------
   /// Simulator: hard tick stop (error if exceeded).
   uint64_t max_ticks = 1'000'000;
   /// Consecutive fully-stalled scheduling rounds (blocked transactions, no
-  /// waits-for cycle, no one in deliberate backoff) tolerated before the
-  /// run is declared wedged. Optimistic policies resolve such stalls
+  /// waits-for cycle, no transaction running or in deliberate backoff)
+  /// tolerated before the run is declared wedged. The simulator counts
+  /// ticks, the engine timed-out waits. Optimistic policies resolve such stalls
   /// themselves — an SGT veto escalates to kAbortSelf after its veto
   /// threshold — so drivers must not error on the first cycle-free stall.
   uint64_t stall_patience = 64;
   /// Restart governance: backoff, starvation watchdog, admission gate.
   RestartPolicy restart;
-  /// Optional fault injection (not owned; nullptr = no faults).
-  /// Simulator-only; the engine rejects it (Unimplemented).
+  /// Optional fault injection (not owned; nullptr = no faults). Both
+  /// drivers run it; arrival perturbation only matters to the simulator.
   const FaultPlan* faults = nullptr;
 
   // ---- engine-only knobs (ignored by the simulator) ---------------------
@@ -92,63 +87,21 @@ struct EngineConfig {
   /// detector's polling cadence, and the safety net against any missed
   /// wakeup).
   uint64_t wait_timeout_micros = 200;
-  /// Engine interpretation of one backoff-delay unit (RestartBackoffDelay
-  /// returns tick counts; the engine sleeps delay * backoff_unit_micros).
+  /// Engine interpretation of one tick of delay (RestartBackoffDelay and
+  /// FaultPlan latency spikes count ticks; the engine sleeps
+  /// ticks * backoff_unit_micros).
   uint64_t backoff_unit_micros = 20;
   /// Simulated per-operation I/O latency: each executed operation sleeps
   /// this long while holding its scheduler footprint. 0 = pure CPU. This
   /// is the knob that makes thread-scaling measurable on small hosts:
   /// sleeps overlap across workers even on a single core.
   uint64_t op_latency_micros = 0;
-  /// Synthetic CPU work per executed operation (spin iterations).
-  uint64_t op_cost = 0;
   /// Hard wall-clock deadline for one engine run (error if exceeded).
   uint64_t max_wall_micros = 30'000'000;
 
   /// Rejects inconsistent knob combinations (both drivers call this at
-  /// entry; the Builder calls it at Build()).
+  /// entry).
   Status Validate() const;
-
-  /// The historical defaults, spelled out.
-  static EngineConfig Default() { return EngineConfig{}; }
-
-  /// Fluent validated construction (defined below the struct):
-  ///   NSE_ASSIGN_OR_RETURN(EngineConfig cfg,
-  ///                        EngineConfig::Builder().Threads(8).Build());
-  class Builder;
-};
-
-class EngineConfig::Builder {
- public:
-  Builder& MaxTicks(uint64_t v) { cfg_.max_ticks = v; return *this; }
-  Builder& StallPatience(uint64_t v) { cfg_.stall_patience = v; return *this; }
-  Builder& Restart(const RestartPolicy& v) { cfg_.restart = v; return *this; }
-  Builder& Faults(const FaultPlan* v) { cfg_.faults = v; return *this; }
-  Builder& Threads(size_t v) { cfg_.threads = v; return *this; }
-  Builder& WaitTimeoutMicros(uint64_t v) {
-    cfg_.wait_timeout_micros = v;
-    return *this;
-  }
-  Builder& BackoffUnitMicros(uint64_t v) {
-    cfg_.backoff_unit_micros = v;
-    return *this;
-  }
-  Builder& OpLatencyMicros(uint64_t v) {
-    cfg_.op_latency_micros = v;
-    return *this;
-  }
-  Builder& OpCost(uint64_t v) { cfg_.op_cost = v; return *this; }
-  Builder& MaxWallMicros(uint64_t v) {
-    cfg_.max_wall_micros = v;
-    return *this;
-  }
-
-  /// Validates and returns the config, or InvalidArgument naming the
-  /// inconsistent knobs.
-  Result<EngineConfig> Build() const;
-
- private:
-  EngineConfig cfg_;
 };
 
 /// The restart delay for a transaction entering its n-th restart

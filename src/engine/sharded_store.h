@@ -1,8 +1,8 @@
-// Lock-free value plane for the multithreaded engine: one atomic cell per
-// item. The scheduler layer (policy + engine) decides *whether* an access
-// may happen; this store only performs it. Cells are atomics so a policy
-// bug that lets two workers race on an item is a scheduling bug visible to
-// the analysis checkers, never undefined behavior under TSan.
+// Lock-free value plane of both scheduler drivers: one atomic cell per
+// item. The scheduler layer (policy + TxnRunner) decides *whether* an
+// access may happen; this store only performs it. Cells are atomics so a
+// policy bug that lets two workers race on an item is a scheduling bug
+// visible to the analysis checkers, never undefined behavior under TSan.
 //
 // The accessors return Status / Result<T> envelopes, not sentinel values:
 // an out-of-range item is a malformed request (OutOfRange), while a read
@@ -39,16 +39,22 @@ class ShardedValueStore {
     return cells_[item].load(std::memory_order_acquire);
   }
 
-  /// Sets `item` to `value`, or OutOfRange for an unknown item.
-  Status Write(ItemId item, int64_t value) {
+  /// Sets `item` to `value` and returns the value it replaced, or
+  /// OutOfRange for an unknown item.
+  Result<int64_t> Write(ItemId item, int64_t value) {
     if (item >= size_) {
       return Status::OutOfRange("write of item outside the store");
     }
-    cells_[item].store(value, std::memory_order_release);
-    return Status::Ok();
+    return cells_[item].exchange(value, std::memory_order_acq_rel);
   }
 
-  size_t size() const { return size_; }
+  /// Undoes a Write of `written` that replaced `prior`, unless a later
+  /// write already replaced `written` (then that write stands). `item`
+  /// must be in range.
+  void Undo(ItemId item, int64_t written, int64_t prior) {
+    cells_[item].compare_exchange_strong(written, prior,
+                                         std::memory_order_acq_rel);
+  }
 
  private:
   size_t size_;

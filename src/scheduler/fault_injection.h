@@ -1,31 +1,25 @@
-// Deterministic fault injection for the scheduler simulator. A FaultPlan is
+// Deterministic fault injection for the scheduler drivers. A FaultPlan is
 // a pure function from (seed, txn, incarnation, step) to fault decisions —
 // every query re-derives its answer from a dedicated Rng::Split stream, so
-// the plan carries no mutable state, two runs over the same plan see the
-// same faults, and the plan can be shared between the determinism-replay
-// runs of the chaos harness.
+// the plan carries no mutable state and two runs over the same plan see
+// the same faults. Four fault classes, each with its own stream family:
 //
-// Four fault classes, each with its own decorrelated stream family:
-//
-//   * spontaneous client aborts — an incarnation picks (probabilistically)
-//     one step at which the client gives up mid-script; the transaction
-//     rolls back through the simulator's shared restart path and retries.
+//   * client aborts — an incarnation picks (probabilistically) one step at
+//     which the client gives up; the transaction rolls back and retries.
 //     Capped per txn (max_client_aborts_per_txn) so injected aborts can
-//     never starve a transaction forever: past the cap the client behaves.
-//   * crash-at-op — a transaction may be condemned to crash the first time
-//     it reaches a drawn step: its footprint is retracted exactly like an
-//     abort, but it never restarts (terminal). This is what exercises the
-//     OnAbort/Erase/RemoveEdgesOf retraction paths with no later
-//     re-execution to paper over residual state.
-//   * per-op latency spikes — before issuing a step the client stalls a
-//     drawn number of ticks (think page fault, GC pause, slow network
-//     round-trip), shifting every subsequent conflict window.
-//   * arrival perturbation — each transaction's arrival tick is delayed by
-//     a drawn offset, reshuffling the admission order.
+//     never starve a transaction forever.
+//   * crash-at-op — a transaction may crash the first time it reaches a
+//     drawn step: its footprint is retracted like an abort, but it never
+//     restarts, so no later re-execution papers over residual state.
+//   * latency spikes — before a step the client stalls a drawn number of
+//     ticks (page fault, GC pause, slow round-trip), shifting every later
+//     conflict window.
+//   * arrival perturbation — each arrival tick is delayed by a drawn
+//     offset, reshuffling the simulator's admission order.
 //
-// The simulator consults the plan through EngineConfig::faults (see engine/engine_config.h);
-// policies never see the plan — faults arrive through the same OnAbort /
-// restart machinery real aborts use, which is the point.
+// Both drivers consult the plan through EngineConfig::faults, in the
+// TxnRunner they share (txn_runner.h); policies never see it — faults
+// arrive through the same Abort / restart machinery real aborts use.
 
 #ifndef NSE_SCHEDULER_FAULT_INJECTION_H_
 #define NSE_SCHEDULER_FAULT_INJECTION_H_

@@ -4,9 +4,9 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/string_util.h"
 #include "scheduler/fault_injection.h"
+#include "scheduler/txn_runner.h"
 #include "scheduler/waits_for.h"
 
 namespace nse {
@@ -14,30 +14,15 @@ namespace nse {
 namespace {
 
 struct TxnRuntime {
-  size_t pc = 0;          // next step index
   bool done = false;
+  bool committed = false;
   bool admitted = false;  // passed the admission gate
-  bool crashed = false;   // terminal crash-at-op fault fired
-  bool was_shed = false;  // dropped by the admission gate
-  bool blocked = false;   // last OnAccess returned kWait
+  bool blocked = false;   // last step answered kWait
   bool boosted = false;   // starvation watchdog fired
   bool parked = false;    // boosted but waiting for the privileged one
-  uint64_t wait_ticks = 0;
   uint64_t completion_tick = 0;
   uint64_t resume_tick = 0;  // abort backoff / latency spike: idle until then
-  uint64_t abort_count = 0;  // restarts of any kind (= incarnation index)
-  uint64_t fault_aborts = 0;  // injected client aborts (capped by the plan)
-  uint64_t arrival = 0;       // effective (possibly perturbed) arrival tick
-  size_t spike_paid_pc = SIZE_MAX;  // last step latency-checked this life
-  uint64_t skips_this_life = 0;  // kSkip verdicts of the current incarnation
-};
-
-/// One traced operation plus its version annotation (reads under a
-/// multiversion policy: the writer of the observed version). Kept fused so
-/// the restart path's erase keeps trace and annotations aligned.
-struct TracedOp {
-  Operation op;
-  std::optional<TxnId> read_from;
+  uint64_t arrival = 0;      // effective (possibly perturbed) arrival tick
 };
 
 }  // namespace
@@ -48,21 +33,18 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
   NSE_RETURN_IF_ERROR(config.Validate());
   const size_t n = scripts.size();
   const RestartPolicy& rp = config.restart;
-  const FaultPlan* faults =
-      (config.faults != nullptr && !config.faults->empty()) ? config.faults
-                                                            : nullptr;
+  RunContext run(policy, scripts, config, /*one_driver_thread=*/true);
+  SimResult result;
   std::vector<TxnRuntime> runtime(n);
-  // Terminal crash step per txn (SIZE_MAX = never), drawn once up front.
-  std::vector<size_t> crash_step(n, SIZE_MAX);
+  std::vector<TxnRunner> runners;
+  runners.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     TxnId txn = static_cast<TxnId>(i + 1);
-    runtime[i].arrival = scripts[i].arrival_tick;
-    if (faults != nullptr) {
-      runtime[i].arrival =
-          faults->PerturbedArrival(txn, scripts[i].arrival_tick);
-      auto crash = faults->CrashStep(txn, scripts[i].steps.size());
-      if (crash.has_value()) crash_step[i] = *crash;
-    }
+    runners.emplace_back(run, result).Begin(txn);
+    runtime[i].arrival =
+        config.faults != nullptr
+            ? config.faults->PerturbedArrival(txn, scripts[i].arrival_tick)
+            : scripts[i].arrival_tick;
   }
   // Admission order: (effective arrival, id) — deterministic whatever the
   // perturbation did to the scripted order.
@@ -74,8 +56,6 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
                    });
   size_t live_txns = 0;
 
-  std::vector<TracedOp> trace;
-  SimResult result;
   // Persistent waits-for graph across stall ticks: each tick only diffs the
   // blocker sets against the previous tick (usually unchanged), instead of
   // rebuilding a graph and running a DFS per tick.
@@ -96,20 +76,6 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
   bool pending_arrival = false;   // not yet arrived, or in backoff/spike
   bool pending_backoff = false;   // in deliberate backoff or latency spike
   bool pending_admission = false;  // arrived but queued at the gate
-
-  // Drop `victim`'s footprint: policy retraction, waits-for edges, trace
-  // ops. Shared by restart (abort) and terminal crash; second calls for the
-  // same txn are harmless — the policies' OnAbort paths are idempotent.
-  auto release_txn = [&](TxnId victim) {
-    policy.Abort(victim);
-    waits.OnResolved(victim);
-    trace.erase(std::remove_if(trace.begin(), trace.end(),
-                               [victim](const TracedOp& traced) {
-                                 return traced.op.txn == victim;
-                               }),
-                trace.end());
-    runtime[victim - 1].blocked = false;
-  };
 
   // The transaction currently holding the watchdog's escalation privilege:
   // the lowest-id boosted, unfinished transaction (0 if none). Only it gets
@@ -137,22 +103,19 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
     }
   };
 
-  // Abort `victim` and schedule its restart under the RestartPolicy: undo
-  // its trace, rewind, and back off so the surviving transactions drain
-  // before it re-enters (otherwise the same conflict can re-form forever).
-  // Shared by the deadlock-victim path, policy-requested kAbortRestart
-  // verdicts, wounds, and injected client aborts.
-  auto restart_txn = [&](TxnId victim) {
-    release_txn(victim);
+  // Abort `victim` and schedule its restart under the RestartPolicy: the
+  // runner rolls it back and rewinds it; backing off lets the surviving
+  // transactions drain before it re-enters (otherwise the same conflict can
+  // re-form forever). Shared by the deadlock-victim path, policy-requested
+  // kAbortSelf verdicts, wounds, and injected client aborts.
+  auto restart_txn = [&](TxnId victim, TxnRunner::Cause cause) {
+    TxnRunner& runner = runners[victim - 1];
+    runner.Restart(cause);
+    waits.OnResolved(victim);
     TxnRuntime& vrt = runtime[victim - 1];
-    vrt.pc = 0;
-    vrt.spike_paid_pc = SIZE_MAX;
-    vrt.skips_this_life = 0;
-    ++vrt.abort_count;
-    result.max_txn_restarts = std::max(result.max_txn_restarts,
-                                       vrt.abort_count);
+    vrt.blocked = false;
     if (!vrt.boosted && rp.max_restarts_before_boost > 0 &&
-        vrt.abort_count > rp.max_restarts_before_boost) {
+        runner.restarts() > rp.max_restarts_before_boost) {
       // Starvation watchdog: past the cap the transaction is escalated
       // instead of livelocking through delays it always loses.
       vrt.boosted = true;
@@ -175,29 +138,30 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
       }
       return;
     }
-    uint64_t delay = RestartBackoffDelay(rp, victim, vrt.abort_count);
+    uint64_t delay = runner.BackoffDelay();
     result.backoff_ticks += delay;
     vrt.resume_tick = tick + std::max<uint64_t>(delay, 1);
   };
 
-  // Terminal crash: same footprint retraction as an abort, but the
-  // transaction never restarts — exactly what leaves residual state behind
-  // if any policy's OnAbort/Erase/RemoveEdgesOf path is leaky.
-  auto crash_txn = [&](TxnId victim) {
-    release_txn(victim);
-    TxnRuntime& vrt = runtime[victim - 1];
-    vrt.done = true;
-    vrt.crashed = true;
-    ++result.crashes;
+  // A transaction left for good — committed, or crashed (a crash retracts
+  // like an abort but never restarts, which is exactly what leaves
+  // residual state behind if any policy's retraction path is leaky).
+  auto retire = [&](size_t i, bool committed) {
+    TxnRuntime& rt = runtime[i];
+    waits.OnResolved(static_cast<TxnId>(i + 1));
+    rt.done = true;
+    rt.committed = committed;
+    rt.blocked = false;
+    rt.completion_tick = tick;
     --live_txns;
-    if (vrt.boosted) wake_parked();  // the privilege transfers
+    if (rt.boosted) wake_parked();  // the privilege transfers
   };
 
-  // One transaction's turn within a tick. Returns nothing; sets the
-  // progress/pending flags.
+  // One transaction's turn within a tick; sets the progress/pending flags.
+  std::vector<TxnId> condemned;
   auto attempt = [&](size_t i) {
     TxnRuntime& rt = runtime[i];
-    const TxnScript& script = scripts[i];
+    TxnRunner& runner = runners[i];
     TxnId txn = static_cast<TxnId>(i + 1);
     if (rt.done) return;
     if (!rt.admitted) {
@@ -209,123 +173,55 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
       pending_backoff = true;
       return;
     }
-    if (script.steps.empty()) {
-      policy.Commit(txn);
-      waits.OnResolved(txn);
-      rt.done = true;
-      rt.completion_tick = tick;
-      --live_txns;
-      ++result.completed;
-      if (rt.boosted) wake_parked();
+    if (runner.finished()) {  // an empty script
+      runner.Commit();
+      retire(i, /*committed=*/true);
       progress = true;
       return;
     }
-    if (faults != nullptr) {
-      if (rt.pc == crash_step[i]) {
-        crash_txn(txn);
-        progress = true;
-        return;
-      }
-      if (faults->ClientAbortsAt(txn, rt.abort_count, rt.pc,
-                                 script.steps.size(), rt.fault_aborts)) {
-        ++rt.fault_aborts;
-        ++result.fault_aborts;
-        restart_txn(txn);
-        progress = true;
-        return;
-      }
-      if (rt.spike_paid_pc != rt.pc) {
-        rt.spike_paid_pc = rt.pc;
-        uint64_t spike = faults->LatencySpikeAt(txn, rt.abort_count, rt.pc);
-        if (spike > 0) {
-          result.latency_spike_ticks += spike;
-          rt.resume_tick = tick + spike;
-          rt.blocked = false;
-          pending_arrival = true;
-          pending_backoff = true;
-          return;
-        }
-      }
-    }
-    Result<AccessGrant> grant = policy.RequestAccess(txn, script, rt.pc);
-    if (!grant.ok()) {
-      // Malformed request — a driver bug, not a scheduling outcome.
-      failure = grant.status();
-      return;
-    }
-    // Wound path: the policy may have condemned *other* transactions
-    // while deciding this access (wound-wait, SGT victim choice). Roll
-    // them back through the shared restart path before acting on the
-    // requester's own verdict — a wound releases the victim's footprint
-    // (locks, graph edges), which is exactly what unblocks the requester
-    // on its next attempt.
-    for (TxnId victim : policy.DrainCondemned()) {
-      NSE_CHECK_MSG(victim != txn,
-                    "policy wounded the requester; it must return "
-                    "kAbortSelf instead");
+    const TxnRunner::Outcome outcome = runner.Step(&condemned);
+    // Roll wound victims back through the shared restart path before
+    // acting on the requester's own verdict — a wound releases the
+    // victim's footprint (locks, graph edges), which is exactly what
+    // unblocks the requester on its next attempt.
+    for (TxnId victim : condemned) {
       NSE_CHECK_MSG(victim >= 1 && victim <= n && !runtime[victim - 1].done,
                     "policy wounded an inactive transaction");
-      restart_txn(victim);
-      ++result.wounds;
+      restart_txn(victim, TxnRunner::Cause::kWound);
       progress = true;  // state changed; this is not a stall tick
     }
-    if (grant->verdict == AccessVerdict::kWait) {
-      rt.blocked = true;
-      ++rt.wait_ticks;
-      return;
-    }
-    if (grant->verdict == AccessVerdict::kAbortSelf) {
-      // The policy declared waiting hopeless (e.g. an SGT veto against
-      // committed edges): roll the transaction back and restart it.
-      restart_txn(txn);
-      ++result.restarts;
-      progress = true;
-      return;
+    switch (outcome) {
+      case TxnRunner::Outcome::kFailed:
+        failure = runner.failure();
+        return;
+      case TxnRunner::Outcome::kCrash:
+        runner.Crash();
+        retire(i, /*committed=*/false);
+        progress = true;
+        return;
+      case TxnRunner::Outcome::kLatencySpike:
+        rt.resume_tick = tick + runner.spike_ticks();
+        rt.blocked = false;
+        pending_arrival = true;
+        pending_backoff = true;
+        return;
+      case TxnRunner::Outcome::kWait:
+        rt.blocked = true;
+        ++result.total_wait_ticks;
+        return;
+      case TxnRunner::Outcome::kRestart:
+        restart_txn(txn, runner.cause());
+        progress = true;
+        return;
+      case TxnRunner::Outcome::kGranted:
+      case TxnRunner::Outcome::kSkipped:
+        break;
     }
     rt.blocked = false;
-    if (grant->verdict == AccessVerdict::kSkip) {
-      // Thomas write rule: the step is subsumed by a newer write that
-      // already executed. The txn advances past it and nothing is traced —
-      // the operation never happened.
-      ++result.skipped_ops;
-      ++rt.skips_this_life;
-    } else {
-      const AccessStep& step = script.steps[rt.pc];
-      // Structural trace values: reads 0, writes the current tick
-      // (distinct values keep traces readable; checkers ignore them).
-      // A grant carrying a version annotation (multiversion policies)
-      // instead traces the observed version's value and remembers its
-      // writer for the read_sources sidecar.
-      // Any release work for non-strict policies already ran inside
-      // RequestAccess (the old AfterAccess hook is fused into the grant).
-      if (step.action == OpAction::kRead) {
-        if (grant->read_view.has_value()) {
-          trace.push_back(TracedOp{
-              Operation::Read(txn, step.item, Value(grant->read_view->value)),
-              grant->read_view->writer});
-        } else {
-          trace.push_back(
-              TracedOp{Operation::Read(txn, step.item, Value(0)),
-                       std::nullopt});
-        }
-      } else {
-        trace.push_back(TracedOp{
-            Operation::Write(txn, step.item,
-                             Value(static_cast<int64_t>(tick))),
-            std::nullopt});
-      }
-    }
-    ++rt.pc;
     progress = true;
-    if (rt.pc == script.steps.size()) {
-      policy.Commit(txn);
-      waits.OnResolved(txn);
-      rt.done = true;
-      rt.completion_tick = tick;
-      --live_txns;
-      ++result.completed;
-      result.committed_skipped_ops += rt.skips_this_life;
-      if (rt.boosted) wake_parked();
+    if (runner.finished()) {
+      runner.Commit();
+      retire(i, /*committed=*/true);
     }
   };
 
@@ -348,7 +244,6 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
         ++live_txns;
       } else if (rp.overflow == RestartPolicy::Overflow::kShed) {
         rt.done = true;
-        rt.was_shed = true;
         ++result.shed;
         progress = true;
       }
@@ -389,7 +284,8 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
                       runtime[i].resume_tick <= tick;
       if (eligible && runtime[i].blocked) {
         any_blocked = true;
-        waits.SetWaits(txn, policy.Blockers(txn, scripts[i], runtime[i].pc));
+        waits.SetWaits(txn,
+                       policy.Blockers(txn, scripts[i], runners[i].pc()));
       } else {
         waits.ClearWaits(txn);
       }
@@ -411,21 +307,18 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
     }
     if (victim == 0) {
       if (pending_backoff) {
-        // Blocked transactions, but some participant is in deliberate
-        // backoff — its return will either make progress or re-form a
-        // detectable cycle. Counting these ticks toward stall_patience
-        // would misdiagnose a long exponential backoff as a wedged
-        // policy; resetting keeps the counter's "consecutive" meaning.
+        // Some participant is in deliberate backoff; its return makes
+        // progress or re-forms a detectable cycle. A long backoff is not
+        // a wedged policy, so the consecutive-stall count restarts.
         stalled_ticks = 0;
         continue;
       }
       if (pending_arrival) continue;  // blockers will arrive and finish
       // Blocked transactions without a waits-for cycle: an optimistic
       // policy resolves this itself (SGT's veto threshold escalates to
-      // kAbortRestart), so keep ticking within the patience budget. A
-      // non-empty admission queue cannot help here — queued transactions
-      // only enter when a live one leaves — so it does not defer the
-      // verdict.
+      // kAbortSelf), so keep ticking within the patience budget. Queued
+      // arrivals only enter when a live transaction leaves, so they do
+      // not defer the verdict.
       if (++stalled_ticks > config.stall_patience) {
         return Status::Internal(
             "simulation stalled: blocked transactions but no waits-for cycle");
@@ -433,8 +326,7 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
       continue;
     }
     stalled_ticks = 0;
-    restart_txn(victim);
-    ++result.aborts;
+    restart_txn(victim, TxnRunner::Cause::kDeadlock);
   }
 
   if (!all_done()) {
@@ -442,18 +334,13 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
         StrCat("simulation exceeded max_ticks=", config.max_ticks));
   }
 
+  run.Finish(result);
   result.makespan = tick;
-  result.total_ops = trace.size();
-  result.vetoes = policy.veto_events();
   double response_sum = 0;
   uint64_t committed = 0;
-  result.txn_restarts.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    result.total_wait_ticks += runtime[i].wait_ticks;
-    result.txn_restarts[i] = runtime[i].abort_count;
-    if (runtime[i].crashed || runtime[i].was_shed) continue;
-    response_sum += static_cast<double>(runtime[i].completion_tick + 1 -
-                                        runtime[i].arrival);
+  for (const TxnRuntime& rt : runtime) {
+    if (!rt.committed) continue;
+    response_sum += static_cast<double>(rt.completion_tick + 1 - rt.arrival);
     ++committed;
   }
   result.avg_response_ticks =
@@ -463,14 +350,6 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
           ? 0
           : static_cast<double>(result.completed) /
                 static_cast<double>(result.makespan);
-  OpSequence ops;
-  ops.reserve(trace.size());
-  result.read_sources.reserve(trace.size());
-  for (const TracedOp& traced : trace) {
-    ops.push_back(traced.op);
-    result.read_sources.push_back(traced.read_from);
-  }
-  result.schedule = Schedule(std::move(ops));
   return result;
 }
 

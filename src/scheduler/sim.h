@@ -1,88 +1,51 @@
 // Tick-based concurrency simulator. Each tick, every active transaction
 // attempts its next scripted operation; the policy grants or blocks it.
 // Deadlocks are detected on the waits-for graph and resolved by aborting the
-// largest-id transaction in the cycle, which restarts from scratch.
+// largest-id transaction in the cycle, which restarts from scratch. The
+// result carries performance metrics (waits, makespan, throughput) and the
+// committed trace, which the analysis checkers verify against the class
+// the policy promises (CSR / PWSR / DR).
 //
-// The simulator reports both performance metrics (the currency of the
-// paper's motivation: waits, makespan, throughput) and the committed
-// operation trace as a Schedule, so the analysis checkers can verify that a
-// policy's output lies in the class it promises (CSR / PWSR / DR).
-// Trace values are structural placeholders — class membership depends only
-// on actions, items, and order.
-//
-// Adversity is first-class: an optional FaultPlan (fault_injection.h)
-// injects spontaneous client aborts, terminal crash-at-op, latency spikes
-// and arrival perturbation — all delivered through the same Abort /
-// restart machinery real aborts use — and a RestartPolicy governs how
-// victims re-enter: backoff shape (immediate / fixed / linear /
-// capped-exponential, with deterministic jitter), a starvation watchdog
-// that boosts a transaction past its restart cap instead of letting it
-// livelock, and an admission gate (max live transactions; overflow queued
-// or shed) for graceful degradation under overload.
+// Transactions step through the TxnRunner (txn_runner.h) the threaded
+// engine uses; what stays here is the tick loop. An optional FaultPlan
+// (fault_injection.h) injects client aborts, crashes, latency spikes and
+// arrival perturbation, and a RestartPolicy governs re-entry: backoff
+// shape with deterministic jitter, plus two tick-scheduling ideas only
+// this driver has — a starvation watchdog that boosts a transaction past
+// its restart cap, and an admission gate (max live transactions; overflow
+// queued or shed).
 
 #ifndef NSE_SCHEDULER_SIM_H_
 #define NSE_SCHEDULER_SIM_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "engine/engine_config.h"
 #include "scheduler/scheduler.h"
-#include "txn/schedule.h"
+#include "scheduler/txn_runner.h"
 
 namespace nse {
 
-/// Aggregate outcome of one simulation run.
-struct SimResult {
+/// Aggregate outcome of one simulation run: the shared RunResult ledger
+/// plus the tick-scheduling figures.
+struct SimResult : RunResult {
   uint64_t makespan = 0;           ///< tick after the last completion
-  uint64_t completed = 0;          ///< transactions committed
-  uint64_t aborts = 0;             ///< deadlock victims (each restarts)
-  uint64_t restarts = 0;           ///< policy-requested kAbortSelf events
-  uint64_t wounds = 0;             ///< policy-aborted *other* transactions
-                                   ///< (DrainCondemned victims; each
-                                   ///< restarts)
-  uint64_t vetoes = 0;             ///< policy veto_events() (SGT cycle vetoes)
-  uint64_t skipped_ops = 0;        ///< kSkip verdicts (Thomas-rule writes
-                                   ///< elided from the committed trace)
-  uint64_t committed_skipped_ops = 0;  ///< kSkip verdicts of incarnations
-                                       ///< that went on to commit; pins
-                                       ///< total_ops + committed_skipped_ops
-                                       ///< == sum of committed script lengths
-  uint64_t fault_aborts = 0;       ///< injected spontaneous client aborts
-  uint64_t crashes = 0;            ///< injected terminal crash-at-op faults
   uint64_t shed = 0;               ///< arrivals dropped by the admission gate
   uint64_t boosts = 0;             ///< starvation-watchdog escalations
   uint64_t backoff_ticks = 0;      ///< total deliberate restart-delay ticks
-  uint64_t latency_spike_ticks = 0;  ///< total injected latency-spike ticks
-  uint64_t max_txn_restarts = 0;   ///< max restarts of any single txn
   uint64_t total_wait_ticks = 0;   ///< ticks spent blocked, all txns
-  uint64_t total_ops = 0;          ///< committed operations
   double avg_response_ticks = 0;   ///< mean completion − arrival (committed)
   double throughput = 0;           ///< completed / makespan
-  Schedule schedule;               ///< committed trace (structural values)
-  /// Per-position version annotation, parallel to schedule.ops(): for a
-  /// read granted with an AccessGrant::read_view (multiversion policies),
-  /// the transaction whose write produced the observed version (0 = the
-  /// initial state). Absent for writes and single-version reads. This is
-  /// what gives a multiversion trace its well-defined reads-from for the
-  /// MVSR checker.
-  std::vector<std::optional<TxnId>> read_sources;
-  /// Restarts (of any kind) per transaction, index txn-1. Read-only
-  /// transactions under MVTO/SI must show 0 here.
-  std::vector<uint64_t> txn_restarts;
 };
 
 /// Runs `scripts` under `policy`. Transaction ids are 1-based script
-/// indices. Fails on an invalid `config` (EngineConfig::Validate), if the
-/// run exceeds `config.max_ticks`, or if it stalls without a detectable
-/// deadlock (a policy bug). Engine-only knobs (threads, wait timeouts,
-/// latency) are ignored — the simulator is the deterministic single-
-/// threaded adapter of the same policy contract the engine drives for
-/// real. With faults injected, crashed and shed transactions never
-/// commit — everything else must (the chaos harness's forward-progress
-/// contract); their operations never appear in the committed trace.
+/// indices. Fails on an invalid `config` (EngineConfig::Validate), past
+/// `config.max_ticks`, or on a stall without a detectable deadlock (a
+/// policy bug). Engine-only knobs (threads, wait timeouts, latency) are
+/// ignored. Crashed and shed transactions never commit — everything else
+/// must (the chaos harness's forward-progress contract).
 Result<SimResult> RunSimulation(SchedulerPolicy& policy,
                                 const std::vector<TxnScript>& scripts,
                                 const EngineConfig& config = EngineConfig());

@@ -1,8 +1,8 @@
-// Online waits-for tracking for the scheduler layer. The simulator (and any
-// policy that wants to see its own wait cycles, e.g. the delayed-read
-// scheduler) repeatedly asks "did this new wait close a cycle?" — formerly
-// answered by rebuilding a ConflictGraph and running a full DFS on every
-// stall tick. The tracker instead keeps one persistent ConflictGraph in
+// Online waits-for tracking for the scheduler layer. Both drivers' deadlock
+// detectors (and any policy that wants to see its own wait cycles, e.g. the
+// delayed-read scheduler) repeatedly ask "did this new wait close a
+// cycle?" — formerly answered by rebuilding a graph and running a full DFS
+// on every stall. The tracker instead keeps one persistent ConflictGraph in
 // incremental (Pearce–Kelly) mode and *diffs* each transaction's blocker
 // set against the previous one, so a stall tick whose waits-for relation
 // did not change costs a handful of vector compares, a changed edge costs

@@ -18,9 +18,16 @@
 //      policy instance produces a bit-identical committed schedule and
 //      identical counters.
 //
-// Faults reach the policies only through the simulator's shared
-// OnAbort/restart machinery, so this sweep is precisely what exercises
-// every policy's retraction path (lock release, ConflictAccessIndex::Erase,
+// Both drivers step transactions through the same TxnRunner, which is
+// where faults are injected, so the profiles that use neither the
+// starvation watchdog nor the admission gate (tick-scheduling ideas the
+// engine does not implement) also run on the threaded engine at 1 and 4
+// workers. There contracts 1–3 are pinned; the engine's event counters
+// are nondeterministic, so counter checks stay on the simulator.
+//
+// Faults reach the policies only through the drivers' shared Abort /
+// restart machinery, so this sweep is precisely what exercises every
+// policy's retraction path (lock release, ConflictAccessIndex::Erase,
 // RemoveEdgesOf, stamp erasure) under fire.
 
 #include <algorithm>
@@ -39,6 +46,7 @@
 #include "analysis/multiversion.h"
 #include "analysis/robustness.h"
 #include "common/rng.h"
+#include "engine/engine.h"
 #include "fuzz_env.h"
 #include "scheduler/dr_scheduler.h"
 #include "scheduler/fault_injection.h"
@@ -126,32 +134,34 @@ std::vector<ChaosSetup> ChaosSetups(uint64_t seed) {
   return {aborts, crashes, full};
 }
 
+const size_t kEngineThreads[] = {1, 4};
+
 /// Runs `checker_name` against the committed schedule and asserts it is
 /// satisfied.
 void ExpectClass(const Workload& workload, const Schedule& schedule,
                  std::string_view checker_name, std::string_view policy,
-                 const char* setup) {
+                 const std::string& where) {
   AnalysisContext ctx(*workload.ic, schedule);
   auto result = CheckerRegistry::BuiltIn().Run(checker_name, ctx);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->verdict, Verdict::kSatisfied)
-      << policy << " under " << setup << " broke its " << checker_name
+      << policy << " under " << where << " broke its " << checker_name
       << " promise: " << result->ToString() << "\nschedule:\n"
       << schedule.ToString(workload.db);
 }
 
 /// Forward progress: every non-crashed, non-shed transaction committed,
 /// and the trace holds operations of committed transactions only.
-void ExpectForwardProgress(const SimResult& result, size_t num_txns,
-                           const char* setup) {
-  EXPECT_EQ(result.completed + result.crashes + result.shed, num_txns)
+void ExpectForwardProgress(const RunResult& result, uint64_t shed,
+                           size_t num_txns, const std::string& where) {
+  EXPECT_EQ(result.completed + result.crashes + shed, num_txns)
       << "a transaction neither committed nor crashed nor was shed under "
-      << setup;
+      << where;
   std::set<TxnId> in_trace;
   for (const Operation& op : result.schedule.ops()) in_trace.insert(op.txn);
   EXPECT_LE(in_trace.size(), result.completed)
       << "trace holds operations of uncommitted transactions under "
-      << setup;
+      << where;
 }
 
 /// Bit-identical replay: every counter equal and the committed schedules
@@ -182,14 +192,17 @@ void ExpectBitIdentical(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.txn_restarts, b.txn_restarts) << setup;
 }
 
-/// Runs the workload under `setup` twice (fresh policy per run via
-/// `make`), asserts determinism and forward progress, and returns the
-/// first run's result with the first policy left at quiescence in
-/// `*policy_out` for residual-state checks.
-template <typename MakePolicy,
-          typename Policy = std::decay_t<decltype(*std::declval<MakePolicy>()())>>
+/// Runs the workload under `setup` on the simulator twice (fresh policy
+/// per run via `make`), asserting determinism and forward progress, then —
+/// for the profiles without watchdog and gate — on the engine at every
+/// kEngineThreads count, asserting forward progress. `check(policy,
+/// result, where)` gets every run's result with its policy at quiescence,
+/// for the class and residual-state checks. Returns the first simulator
+/// result for simulator-only counter checks.
+template <typename MakePolicy, typename Check>
 SimResult RunChaos(const Workload& workload, const ChaosSetup& setup,
-                   MakePolicy make, std::unique_ptr<Policy>* policy_out) {
+                   MakePolicy make, Check check) {
+  const size_t n = workload.scripts.size();
   FaultPlan plan(setup.faults);
   EngineConfig config;
   config.restart = setup.restart;
@@ -198,20 +211,31 @@ SimResult RunChaos(const Workload& workload, const ChaosSetup& setup,
   auto policy = make();
   auto result = RunSimulation(*policy, workload.scripts, config);
   EXPECT_TRUE(result.ok()) << setup.label << ": " << result.status();
-  if (!result.ok()) {
-    // Hand the (quiescent-ish) policy back anyway so the caller's residual
-    // checks don't dereference null; the EXPECT above already failed.
-    *policy_out = std::move(policy);
-    return SimResult{};
-  }
-
+  if (!result.ok()) return SimResult{};
   auto replay_policy = make();
   auto replay = RunSimulation(*replay_policy, workload.scripts, config);
   EXPECT_TRUE(replay.ok()) << setup.label << ": " << replay.status();
   if (replay.ok()) ExpectBitIdentical(*result, *replay, setup.label);
+  const std::string sim_where = std::string("sim, ") + setup.label;
+  ExpectForwardProgress(*result, result->shed, n, sim_where);
+  check(*policy, *result, sim_where);
 
-  ExpectForwardProgress(*result, workload.scripts.size(), setup.label);
-  *policy_out = std::move(policy);
+  if (setup.restart.max_restarts_before_boost == 0 &&
+      setup.restart.max_live_txns == 0) {
+    config.wait_timeout_micros = 100;  // brisk deadlock-detector cadence
+    config.backoff_unit_micros = 5;    // tiny workloads: short real sleeps
+    for (size_t threads : kEngineThreads) {
+      config.threads = threads;
+      const std::string where = std::string("engine x") +
+                                std::to_string(threads) + ", " + setup.label;
+      auto engine_policy = make();
+      auto run = RunEngine(*engine_policy, workload.scripts, config);
+      EXPECT_TRUE(run.ok()) << where << ": " << run.status();
+      if (!run.ok()) continue;
+      ExpectForwardProgress(*run, 0, n, where);
+      check(*engine_policy, *run, where);
+    }
+  }
   return *std::move(result);
 }
 
@@ -220,34 +244,43 @@ class ChaosDifferentialFuzz : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ChaosDifferentialFuzz, Strict2plSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<StrictTwoPhaseLocking> policy;
-    SimResult result = RunChaos(
-        workload, setup,
-        [] { return std::make_unique<StrictTwoPhaseLocking>(); }, &policy);
-    ExpectClass(workload, result.schedule, "csr", "strict-2pl", setup.label);
-    ExpectClass(workload, result.schedule, "delayed-read", "strict-2pl",
-                setup.label);
-    AnalysisContext strict_ctx(*workload.ic, result.schedule);
-    EXPECT_TRUE(strict_ctx.strict()) << setup.label;
-    EXPECT_EQ(policy->held_locks(), 0u) << setup.label;
+    RunChaos(workload, setup,
+             [] { return std::make_unique<StrictTwoPhaseLocking>(); },
+             [&](const StrictTwoPhaseLocking& policy, const RunResult& result,
+                 const std::string& where) {
+               ExpectClass(workload, result.schedule, "csr", "strict-2pl",
+                           where);
+               ExpectClass(workload, result.schedule, "delayed-read",
+                           "strict-2pl", where);
+               AnalysisContext strict_ctx(*workload.ic, result.schedule);
+               EXPECT_TRUE(strict_ctx.strict()) << where;
+               EXPECT_EQ(policy.held_locks(), 0u) << where;
+             });
   }
+}
+
+/// Crash/abort hygiene of the SGT family: whatever the faults retracted
+/// left no residual edges — the live graph equals the committed trace's
+/// conflict graph.
+template <typename Policy>
+void ExpectSgtGraphHygiene(const Policy& policy, const RunResult& result,
+                           const std::string& where) {
+  EXPECT_FALSE(policy.graph().has_cycle()) << where;
+  EXPECT_EQ(policy.graph().Edges(),
+            ConflictGraph::Build(result.schedule).Edges())
+      << where;
 }
 
 TEST_P(ChaosDifferentialFuzz, SgtSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   const size_t n = workload.scripts.size();
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<SgtPolicy> policy;
-    SimResult result = RunChaos(
-        workload, setup, [n] { return std::make_unique<SgtPolicy>(n); },
-        &policy);
-    ExpectClass(workload, result.schedule, "csr", "sgt", setup.label);
-    // Crash/abort hygiene: whatever the faults retracted left no residual
-    // edges — the live graph equals the committed trace's conflict graph.
-    EXPECT_FALSE(policy->graph().has_cycle()) << setup.label;
-    EXPECT_EQ(policy->graph().Edges(),
-              ConflictGraph::Build(result.schedule).Edges())
-        << setup.label;
+    RunChaos(workload, setup, [n] { return std::make_unique<SgtPolicy>(n); },
+             [&](const SgtPolicy& policy, const RunResult& result,
+                 const std::string& where) {
+               ExpectClass(workload, result.schedule, "csr", "sgt", where);
+               ExpectSgtGraphHygiene(policy, result, where);
+             });
   }
 }
 
@@ -255,33 +288,40 @@ TEST_P(ChaosDifferentialFuzz, SgtVictimSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   const size_t n = workload.scripts.size();
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<SgtVictimPolicy> policy;
-    SimResult result = RunChaos(
-        workload, setup,
-        [n] { return std::make_unique<SgtVictimPolicy>(n); }, &policy);
-    ExpectClass(workload, result.schedule, "csr", "sgt-victim", setup.label);
-    EXPECT_FALSE(policy->graph().has_cycle()) << setup.label;
-    EXPECT_EQ(policy->graph().Edges(),
-              ConflictGraph::Build(result.schedule).Edges())
-        << setup.label;
+    RunChaos(workload, setup,
+             [n] { return std::make_unique<SgtVictimPolicy>(n); },
+             [&](const SgtVictimPolicy& policy, const RunResult& result,
+                 const std::string& where) {
+               ExpectClass(workload, result.schedule, "csr", "sgt-victim",
+                           where);
+               ExpectSgtGraphHygiene(policy, result, where);
+             });
   }
+}
+
+/// Class and residual checks of the two strict deadlock-free 2PL variants.
+template <typename Policy>
+void ExpectStrictLocking(const Workload& workload, const Policy& policy,
+                         const RunResult& result, const std::string& where) {
+  ExpectClass(workload, result.schedule, "csr", policy.name(), where);
+  AnalysisContext strict_ctx(*workload.ic, result.schedule);
+  EXPECT_TRUE(strict_ctx.strict()) << where;
+  EXPECT_EQ(policy.held_locks(), 0u) << where;
 }
 
 TEST_P(ChaosDifferentialFuzz, WoundWaitSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   const size_t n = workload.scripts.size();
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<WoundWaitPolicy> policy;
-    SimResult result = RunChaos(
-        workload, setup,
-        [n] { return std::make_unique<WoundWaitPolicy>(n); }, &policy);
-    ExpectClass(workload, result.schedule, "csr", "wound-wait", setup.label);
-    AnalysisContext strict_ctx(*workload.ic, result.schedule);
-    EXPECT_TRUE(strict_ctx.strict()) << setup.label;
+    SimResult sim = RunChaos(
+        workload, setup, [n] { return std::make_unique<WoundWaitPolicy>(n); },
+        [&](const WoundWaitPolicy& policy, const RunResult& result,
+            const std::string& where) {
+          ExpectStrictLocking(workload, policy, result, where);
+        });
     // Deadlock freedom survives faults: waits still only point young->old.
-    EXPECT_EQ(result.aborts, 0u) << setup.label;
-    EXPECT_EQ(result.restarts, 0u) << setup.label;
-    EXPECT_EQ(policy->held_locks(), 0u) << setup.label;
+    EXPECT_EQ(sim.aborts, 0u) << setup.label;
+    EXPECT_EQ(sim.restarts, 0u) << setup.label;
   }
 }
 
@@ -289,16 +329,14 @@ TEST_P(ChaosDifferentialFuzz, WaitDieSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   const size_t n = workload.scripts.size();
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<WaitDiePolicy> policy;
-    SimResult result = RunChaos(
+    SimResult sim = RunChaos(
         workload, setup, [n] { return std::make_unique<WaitDiePolicy>(n); },
-        &policy);
-    ExpectClass(workload, result.schedule, "csr", "wait-die", setup.label);
-    AnalysisContext strict_ctx(*workload.ic, result.schedule);
-    EXPECT_TRUE(strict_ctx.strict()) << setup.label;
-    EXPECT_EQ(result.aborts, 0u) << setup.label;
-    EXPECT_EQ(result.wounds, 0u) << setup.label;
-    EXPECT_EQ(policy->held_locks(), 0u) << setup.label;
+        [&](const WaitDiePolicy& policy, const RunResult& result,
+            const std::string& where) {
+          ExpectStrictLocking(workload, policy, result, where);
+        });
+    EXPECT_EQ(sim.aborts, 0u) << setup.label;
+    EXPECT_EQ(sim.wounds, 0u) << setup.label;
   }
 }
 
@@ -307,32 +345,33 @@ TEST_P(ChaosDifferentialFuzz, ToSafeUnderFaults) {
   const size_t n = workload.scripts.size();
   for (bool thomas : {false, true}) {
     for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-      std::unique_ptr<TimestampOrderingPolicy> policy;
-      SimResult result = RunChaos(
+      SimResult sim = RunChaos(
           workload, setup,
           [n, thomas] {
             TimestampOrderingPolicy::Options options;
             options.thomas_write_rule = thomas;
             return std::make_unique<TimestampOrderingPolicy>(n, options);
           },
-          &policy);
-      ExpectClass(workload, result.schedule, "csr", policy->name(),
-                  setup.label);
+          [&](const TimestampOrderingPolicy& policy, const RunResult& result,
+              const std::string& where) {
+            ExpectClass(workload, result.schedule, "csr", policy.name(),
+                        where);
+            // Stamp hygiene: every active-incarnation entry was folded at
+            // commit or erased by an abort/crash.
+            EXPECT_EQ(policy.active_stamp_entries(), 0u) << where;
+            // The committed conflict graph still embeds in timestamp order.
+            ConflictGraph graph = ConflictGraph::Build(result.schedule);
+            for (const auto& [from, to] : graph.Edges()) {
+              ASSERT_TRUE(policy.timestamp(from).has_value());
+              ASSERT_TRUE(policy.timestamp(to).has_value());
+              EXPECT_LT(*policy.timestamp(from), *policy.timestamp(to))
+                  << policy.name() << " conflict edge T" << from << " -> T"
+                  << to << " against timestamp order under " << where;
+            }
+          });
       // TO never blocks, faults or not.
-      EXPECT_EQ(result.aborts, 0u) << setup.label;
-      EXPECT_EQ(result.total_wait_ticks, 0u) << setup.label;
-      // Stamp hygiene: every active-incarnation entry was folded at commit
-      // or erased by an abort/crash.
-      EXPECT_EQ(policy->active_stamp_entries(), 0u) << setup.label;
-      // The committed conflict graph still embeds in timestamp order.
-      ConflictGraph graph = ConflictGraph::Build(result.schedule);
-      for (const auto& [from, to] : graph.Edges()) {
-        ASSERT_TRUE(policy->timestamp(from).has_value());
-        ASSERT_TRUE(policy->timestamp(to).has_value());
-        EXPECT_LT(*policy->timestamp(from), *policy->timestamp(to))
-            << policy->name() << " conflict edge T" << from << " -> T" << to
-            << " against timestamp order under " << setup.label;
-      }
+      EXPECT_EQ(sim.aborts, 0u) << setup.label;
+      EXPECT_EQ(sim.total_wait_ticks, 0u) << setup.label;
     }
   }
 }
@@ -340,41 +379,43 @@ TEST_P(ChaosDifferentialFuzz, ToSafeUnderFaults) {
 TEST_P(ChaosDifferentialFuzz, Pw2plSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<PredicatewiseTwoPhaseLocking> policy;
-    SimResult result = RunChaos(
-        workload, setup,
-        [&workload] {
-          return std::make_unique<PredicatewiseTwoPhaseLocking>(
-              &*workload.ic);
-        },
-        &policy);
-    ExpectClass(workload, result.schedule, "pwsr", "pw-2pl", setup.label);
-    EXPECT_EQ(policy->held_locks(), 0u) << setup.label;
+    RunChaos(workload, setup,
+             [&workload] {
+               return std::make_unique<PredicatewiseTwoPhaseLocking>(
+                   &*workload.ic);
+             },
+             [&](const PredicatewiseTwoPhaseLocking& policy,
+                 const RunResult& result, const std::string& where) {
+               ExpectClass(workload, result.schedule, "pwsr", "pw-2pl",
+                           where);
+               EXPECT_EQ(policy.held_locks(), 0u) << where;
+             });
   }
 }
 
 TEST_P(ChaosDifferentialFuzz, DrSchedulerSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<DelayedReadScheduler> policy;
-    SimResult result = RunChaos(
-        workload, setup,
-        [&workload] {
-          return std::make_unique<DelayedReadScheduler>(&*workload.ic);
-        },
-        &policy);
-    ExpectClass(workload, result.schedule, "pwsr", "pw-2pl+dr", setup.label);
-    ExpectClass(workload, result.schedule, "delayed-read", "pw-2pl+dr",
-                setup.label);
-    EXPECT_EQ(policy->held_locks(), 0u) << setup.label;
-    EXPECT_EQ(policy->dirty_writers(), 0u) << setup.label;
+    RunChaos(workload, setup,
+             [&workload] {
+               return std::make_unique<DelayedReadScheduler>(&*workload.ic);
+             },
+             [&](const DelayedReadScheduler& policy, const RunResult& result,
+                 const std::string& where) {
+               ExpectClass(workload, result.schedule, "pwsr", "pw-2pl+dr",
+                           where);
+               ExpectClass(workload, result.schedule, "delayed-read",
+                           "pw-2pl+dr", where);
+               EXPECT_EQ(policy.held_locks(), 0u) << where;
+               EXPECT_EQ(policy.dirty_writers(), 0u) << where;
+             });
   }
 }
 
 /// MVSR under faults: the committed trace with its version annotations
 /// verifies against the mvsr checker (the multiversion promised class).
-void ExpectMvsrClass(const Workload& workload, const SimResult& result,
-                     std::string_view policy, const char* setup) {
+void ExpectMvsrClass(const Workload& workload, const RunResult& result,
+                     std::string_view policy, const std::string& where) {
   VersionAnnotations versions;
   versions.read_from = result.read_sources;
   AnalysisOptions options;
@@ -383,7 +424,7 @@ void ExpectMvsrClass(const Workload& workload, const SimResult& result,
   auto check = CheckerRegistry::BuiltIn().Run("mvsr", ctx);
   ASSERT_TRUE(check.ok()) << check.status();
   EXPECT_EQ(check->verdict, Verdict::kSatisfied)
-      << policy << " under " << setup
+      << policy << " under " << where
       << " broke its mvsr promise: " << check->ToString() << "\nschedule:\n"
       << result.schedule.ToString(workload.db);
 }
@@ -392,18 +433,20 @@ TEST_P(ChaosDifferentialFuzz, MvtoSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   const size_t n = workload.scripts.size();
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<MvtoPolicy> policy;
-    SimResult result = RunChaos(
+    SimResult sim = RunChaos(
         workload, setup, [n] { return std::make_unique<MvtoPolicy>(n); },
-        &policy);
-    ExpectMvsrClass(workload, result, "mvto", setup.label);
+        [&](const MvtoPolicy& policy, const RunResult& result,
+            const std::string& where) {
+          ExpectMvsrClass(workload, result, "mvto", where);
+          // Retraction hygiene: crashed and aborted incarnations removed
+          // their versions and stamps; nothing uncommitted survives
+          // quiescence.
+          EXPECT_EQ(policy.active_stamp_entries(), 0u) << where;
+          EXPECT_EQ(policy.store().uncommitted_versions(), 0u) << where;
+        });
     // MVTO is deadlock-free (waits only point reader -> writer), faults
     // or not: no deadlock victims, ever.
-    EXPECT_EQ(result.aborts, 0u) << setup.label;
-    // Retraction hygiene: crashed and aborted incarnations removed their
-    // versions and stamps; nothing uncommitted survives quiescence.
-    EXPECT_EQ(policy->active_stamp_entries(), 0u) << setup.label;
-    EXPECT_EQ(policy->store().uncommitted_versions(), 0u) << setup.label;
+    EXPECT_EQ(sim.aborts, 0u) << setup.label;
   }
 }
 
@@ -411,20 +454,21 @@ TEST_P(ChaosDifferentialFuzz, SnapshotIsolationSafeUnderFaults) {
   Workload workload = DrawWorkload(GetParam());
   const size_t n = workload.scripts.size();
   for (const ChaosSetup& setup : ChaosSetups(GetParam())) {
-    std::unique_ptr<SnapshotIsolationPolicy> policy;
-    SimResult result = RunChaos(
-        workload, setup,
-        [n] { return std::make_unique<SnapshotIsolationPolicy>(n); },
-        &policy);
-    // SI promises MVSR only on robustness-certified committed sets; the
-    // structural contracts below are unconditional.
-    if (CheckSiRobustness(result.schedule).robust) {
-      ExpectMvsrClass(workload, result, "snapshot-isolation", setup.label);
-    }
-    EXPECT_EQ(policy->active_snapshots(), 0u) << setup.label;
-    EXPECT_EQ(policy->pending_writes(), 0u) << setup.label;
-    EXPECT_EQ(policy->held_write_claims(), 0u) << setup.label;
-    EXPECT_EQ(policy->store().uncommitted_versions(), 0u) << setup.label;
+    RunChaos(workload, setup,
+             [n] { return std::make_unique<SnapshotIsolationPolicy>(n); },
+             [&](const SnapshotIsolationPolicy& policy,
+                 const RunResult& result, const std::string& where) {
+               // SI promises MVSR only on robustness-certified committed
+               // sets; the structural contracts below are unconditional.
+               if (CheckSiRobustness(result.schedule).robust) {
+                 ExpectMvsrClass(workload, result, "snapshot-isolation",
+                                 where);
+               }
+               EXPECT_EQ(policy.active_snapshots(), 0u) << where;
+               EXPECT_EQ(policy.pending_writes(), 0u) << where;
+               EXPECT_EQ(policy.held_write_claims(), 0u) << where;
+               EXPECT_EQ(policy.store().uncommitted_versions(), 0u) << where;
+             });
   }
 }
 
@@ -441,12 +485,14 @@ TEST_P(ChaosDifferentialFuzz, SheddingGateKeepsLedgerAndSafety) {
   setup.faults.crash_probability = 0.15;
   setup.restart.max_live_txns = 2;
   setup.restart.overflow = RestartPolicy::Overflow::kShed;
-  std::unique_ptr<StrictTwoPhaseLocking> policy;
   SimResult result = RunChaos(
       workload, setup,
-      [] { return std::make_unique<StrictTwoPhaseLocking>(); }, &policy);
-  ExpectClass(workload, result.schedule, "csr", "strict-2pl", setup.label);
-  EXPECT_EQ(policy->held_locks(), 0u);
+      [] { return std::make_unique<StrictTwoPhaseLocking>(); },
+      [&](const StrictTwoPhaseLocking& policy, const RunResult& run,
+          const std::string& where) {
+        ExpectClass(workload, run.schedule, "csr", "strict-2pl", where);
+        EXPECT_EQ(policy.held_locks(), 0u) << where;
+      });
   // The gate actually bites when more transactions arrive on one tick than
   // it has slots (scripts are non-empty, so slots cannot free same-tick).
   std::map<uint64_t, size_t> arrivals_at;

@@ -7,9 +7,10 @@
 //      still verifies against the policy's promised class via the
 //      independent CheckerRegistry checkers (CSR / strict / PWSR / DR),
 //      races, wounds and deadlock victims notwithstanding;
-//   2. forward progress — every transaction commits (the engine has no
-//      crash/shed notions): completed == n, and the trace holds committed
-//      transactions' operations only;
+//   2. forward progress — every transaction commits (no faults are
+//      injected here; chaos_differential_test.cc runs them on threads):
+//      completed == n, and the trace holds committed transactions'
+//      operations only;
 //   3. no residual state — at quiescence the policy leaked nothing: zero
 //      held locks, zero active stamp entries, zero dirty-writer marks,
 //      and the SGT live graph equals the committed trace's conflict graph
@@ -40,7 +41,6 @@
 #include "engine/sharded_store.h"
 #include "fuzz_env.h"
 #include "scheduler/dr_scheduler.h"
-#include "scheduler/fault_injection.h"
 #include "scheduler/priority_locking.h"
 #include "scheduler/pw_two_phase_locking.h"
 #include "scheduler/sgt_policy.h"
@@ -377,17 +377,26 @@ TEST(EngineTest, ExceedingWallDeadlineFails) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(EngineTest, SlowLockHolderIsNotAStall) {
+  // T1 holds the lock on item 0 through a 20 ms operation while T2 waits
+  // on it, timing out every 100 us. T1 is running, so none of those
+  // timeouts is a stall strike, however short the patience.
+  for (int round = 0; round < 5; ++round) {
+    StrictTwoPhaseLocking policy;
+    EngineConfig config = FastEngineConfig(2);
+    config.op_latency_micros = 20000;
+    config.stall_patience = 2;
+    auto result =
+        RunEngine(policy, {Script({W(0), W(1)}), Script({W(0)})}, config);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->completed, 2u);
+    EXPECT_EQ(policy.held_locks(), 0u);
+  }
+}
+
 TEST(EngineTest, RejectsSimulatorOnlyKnobs) {
   StrictTwoPhaseLocking policy;
   std::vector<TxnScript> scripts = {Script({W(0)})};
-
-  FaultPlanConfig fc;
-  fc.client_abort_probability = 0.5;
-  FaultPlan plan(fc);
-  EngineConfig with_faults;
-  with_faults.faults = &plan;
-  EXPECT_EQ(RunEngine(policy, scripts, with_faults).status().code(),
-            StatusCode::kUnimplemented);
 
   EngineConfig with_boost;
   with_boost.restart.max_restarts_before_boost = 3;
@@ -400,68 +409,52 @@ TEST(EngineTest, RejectsSimulatorOnlyKnobs) {
             StatusCode::kUnimplemented);
 }
 
-TEST(EngineConfigTest, BuilderAcceptsConsistentKnobs) {
-  auto config = EngineConfig::Builder()
-                    .Threads(4)
-                    .OpLatencyMicros(50)
-                    .WaitTimeoutMicros(100)
-                    .Build();
-  ASSERT_TRUE(config.ok()) << config.status();
-  EXPECT_EQ(config->threads, 4u);
-  EXPECT_EQ(config->op_latency_micros, 50u);
+TEST(EngineConfigTest, ValidateAcceptsConsistentKnobs) {
+  EngineConfig config;
+  config.threads = 4;
+  config.op_latency_micros = 50;
+  config.wait_timeout_micros = 100;
+  EXPECT_TRUE(config.Validate().ok()) << config.Validate();
 }
 
-TEST(EngineConfigTest, BuilderRejectsInconsistentKnobs) {
-  EXPECT_EQ(EngineConfig::Builder().Threads(0).Build().status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(EngineConfig::Builder().MaxTicks(0).Build().status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      EngineConfig::Builder().WaitTimeoutMicros(0).Build().status().code(),
-      StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      EngineConfig::Builder().MaxWallMicros(0).Build().status().code(),
-      StatusCode::kInvalidArgument);
+/// The status code Validate() gives `config` after `edit`.
+template <typename Edit>
+StatusCode ValidateCode(Edit edit) {
+  EngineConfig config;
+  edit(config);
+  return config.Validate().code();
+}
 
-  RestartPolicy capped_below_base;
-  capped_below_base.base = 16;
-  capped_below_base.cap = 2;
-  EXPECT_EQ(EngineConfig::Builder()
-                .Restart(capped_below_base)
-                .Build()
-                .status()
-                .code(),
+TEST(EngineConfigTest, ValidateRejectsInconsistentKnobs) {
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) { c.threads = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) { c.max_ticks = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) { c.wait_timeout_micros = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) { c.max_wall_micros = 0; }),
             StatusCode::kInvalidArgument);
 
-  RestartPolicy zero_exponential;
-  zero_exponential.backoff = RestartPolicy::Backoff::kExponential;
-  zero_exponential.base = 0;
-  zero_exponential.cap = 0;
-  EXPECT_EQ(EngineConfig::Builder()
-                .Restart(zero_exponential)
-                .Build()
-                .status()
-                .code(),
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) {
+              c.restart.base = 16;  // capped below base
+              c.restart.cap = 2;
+            }),
             StatusCode::kInvalidArgument);
-
-  RestartPolicy unseeded_jitter;
-  unseeded_jitter.jitter = 4;
-  unseeded_jitter.jitter_seed = 0;
-  EXPECT_EQ(EngineConfig::Builder()
-                .Restart(unseeded_jitter)
-                .Build()
-                .status()
-                .code(),
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) {
+              c.restart.backoff = RestartPolicy::Backoff::kExponential;
+              c.restart.base = 0;  // 0 << n never backs off
+              c.restart.cap = 0;
+            }),
             StatusCode::kInvalidArgument);
-
-  RestartPolicy shed_without_gate;
-  shed_without_gate.overflow = RestartPolicy::Overflow::kShed;
-  shed_without_gate.max_live_txns = 0;
-  EXPECT_EQ(EngineConfig::Builder()
-                .Restart(shed_without_gate)
-                .Build()
-                .status()
-                .code(),
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) {
+              c.restart.jitter = 4;  // jitter with the unseeded value
+              c.restart.jitter_seed = 0;
+            }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) {
+              c.restart.overflow = RestartPolicy::Overflow::kShed;
+              c.restart.max_live_txns = 0;  // shed without a gate
+            }),
             StatusCode::kInvalidArgument);
 }
 
@@ -488,8 +481,19 @@ TEST(EngineShardedStoreTest, ReadsBackWritesAndRejectsOutOfRange) {
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, 41);
 
+  // A write returns what it replaced; Undo restores it only while the
+  // undone write is still the newest.
+  auto prior = store.Write(2, 42);
+  ASSERT_TRUE(prior.ok());
+  EXPECT_EQ(*prior, 41);
+  store.Undo(2, 42, 41);
+  EXPECT_EQ(*store.Read(2), 41);
+  ASSERT_TRUE(store.Write(2, 43).ok());
+  store.Undo(2, 42, 41);
+  EXPECT_EQ(*store.Read(2), 43);
+
   EXPECT_EQ(store.Read(4).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(store.Write(4, 1).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(store.Write(4, 1).status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -10,8 +10,11 @@
 // tests/data/ (the paper's §2 examples among them) pin absolute verdicts
 // rather than mere agreement, and the trace converters close the loop by
 // feeding sim/engine output (ground truth: strict 2PL ⇒ CSR) through the
-// serialized format into both checkers.
+// serialized format into both checkers — after checking that every traced
+// read carries the value of the write it read from, under strict 2PL and
+// MVTO on both drivers.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "history/history_generator.h"
 #include "history/history_io.h"
 #include "history/trace_export.h"
+#include "scheduler/mvto_policy.h"
 #include "scheduler/sim.h"
 #include "scheduler/two_phase_locking.h"
 #include "scheduler/workload.h"
@@ -176,6 +180,33 @@ TEST(HistoryDifferentialTest, OnlineVerdictMatchesBatchPrefixTransition) {
   }
 }
 
+/// The value rule both drivers follow: a write traces its trace_seq and a
+/// read the value it observed. Every traced read must therefore carry the
+/// traced value of the write it read from — the preceding write of the
+/// item under a single-version policy, the read_sources writer's latest
+/// write of it under a multiversion one — or 0 for the initial state.
+void ExpectReadsCarryWriterValues(
+    const Schedule& schedule,
+    const std::vector<std::optional<TxnId>>& read_sources,
+    const std::string& context) {
+  const OpSequence& ops = schedule.ops();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].is_read()) continue;
+    const std::optional<TxnId> writer =
+        read_sources.empty() ? std::nullopt : read_sources[i];
+    Value expected(0);
+    for (size_t j = i; j-- > 0;) {
+      if (ops[j].is_write() && ops[j].entity == ops[i].entity &&
+          (!writer.has_value() || ops[j].txn == *writer)) {
+        expected = ops[j].value;
+        break;
+      }
+    }
+    EXPECT_EQ(ops[i].value, expected)
+        << context << ": read at position " << i << " by T" << ops[i].txn;
+  }
+}
+
 TEST(TraceDifferentialTest, SimTracesAgreeAndStrict2plStaysSerializable) {
   for (uint64_t seed = 1; seed <= FuzzSeedCount(4); ++seed) {
     PartitionedWorkloadConfig config;
@@ -195,6 +226,14 @@ TEST(TraceDifferentialTest, SimTracesAgreeAndStrict2plStaysSerializable) {
     // Ground truth: strict 2PL commits are conflict serializable and never
     // read aborted data.
     EXPECT_TRUE(streaming.ok()) << "sim seed " << seed;
+    ExpectReadsCarryWriterValues(run->schedule, run->read_sources,
+                                 "sim 2pl seed " + std::to_string(seed));
+
+    MvtoPolicy mvto(workload->scripts.size());
+    Result<SimResult> mv = RunSimulation(mvto, workload->scripts);
+    ASSERT_TRUE(mv.ok()) << mv.status();
+    ExpectReadsCarryWriterValues(mv->schedule, mv->read_sources,
+                                 "sim mvto seed " + std::to_string(seed));
   }
 }
 
@@ -202,11 +241,15 @@ TEST(TraceDifferentialTest, EngineTracesAgreeAndStaySerializable) {
   for (uint64_t seed = 1; seed <= FuzzSeedCount(3); ++seed) {
     PartitionedWorkloadConfig config;
     config.num_txns = 8;
+    config.hotspot_probability = 0.4;
     config.seed = seed;
     Result<Workload> workload = MakePartitionedWorkload(config);
     ASSERT_TRUE(workload.ok()) << workload.status();
+    EngineConfig engine;
+    engine.threads = 4;
+    engine.wait_timeout_micros = 100;
     StrictTwoPhaseLocking policy;
-    Result<EngineResult> run = RunEngine(policy, workload->scripts);
+    Result<EngineResult> run = RunEngine(policy, workload->scripts, engine);
     ASSERT_TRUE(run.ok()) << run.status();
     History h = HistoryFromEngine(workload->db, *run);
     ASSERT_TRUE(ValidateHistory(h).ok());
@@ -214,6 +257,14 @@ TEST(TraceDifferentialTest, EngineTracesAgreeAndStaySerializable) {
     ExpectAgreement(streaming, CheckHistoryBatch(h),
                     "engine seed " + std::to_string(seed));
     EXPECT_TRUE(streaming.ok()) << "engine seed " << seed;
+    ExpectReadsCarryWriterValues(run->schedule, run->read_sources,
+                                 "engine 2pl seed " + std::to_string(seed));
+
+    MvtoPolicy mvto(workload->scripts.size());
+    Result<EngineResult> mv = RunEngine(mvto, workload->scripts, engine);
+    ASSERT_TRUE(mv.ok()) << mv.status();
+    ExpectReadsCarryWriterValues(mv->schedule, mv->read_sources,
+                                 "engine mvto seed " + std::to_string(seed));
   }
 }
 
