@@ -9,16 +9,15 @@
 // paths compute identical verdicts; only artifact reuse differs.
 //
 // Emits a fixed-width table on stdout and a JSON baseline (default
-// BENCH_analysis_context.json, override with argv[1]) for the perf
-// trajectory across PRs.
+// BENCH_analysis_context.json, override with the last argument) for the
+// perf trajectory across PRs. --smoke runs one small configuration with
+// the verdict-agreement check and writes no JSON.
 
-#include <chrono>
-#include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "common/logging.h"
 #include "nse/nse.h"
 #include "scheduler/metrics.h"
@@ -134,47 +133,29 @@ SweepDigest CachedSweep(const Database& db, const IntegrityConstraint& ic,
   return digest;
 }
 
-double MillisOf(const std::function<SweepDigest()>& fn, SweepDigest& digest,
-                int reps) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    digest = fn();
-    auto end = std::chrono::steady_clock::now();
-    double ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-struct RowResult {
-  size_t ops, conjuncts, schedules;
-  double uncached_ms, cached_ms;
-  double speedup() const {
-    return cached_ms == 0 ? 0 : uncached_ms / cached_ms;
-  }
-};
-
 }  // namespace
 }  // namespace nse
 
 int main(int argc, char** argv) {
   using namespace nse;
-  const std::string json_path =
-      argc > 1 ? argv[1] : "BENCH_analysis_context.json";
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_analysis_context.json");
 
   struct Config {
     size_t ops, conjuncts, schedules;
   };
   // Violation-search-sized executions: hundreds of sampled schedules per
   // experiment, tens-to-thousands of operations each.
-  const std::vector<Config> configs = {
-      {64, 4, 600}, {256, 8, 300}, {1024, 8, 80}, {4096, 16, 16}};
+  const std::vector<Config> configs =
+      args.smoke ? std::vector<Config>{{64, 4, 60}, {256, 8, 30}}
+                 : std::vector<Config>{
+                       {64, 4, 600}, {256, 8, 300}, {1024, 8, 80},
+                       {4096, 16, 16}};
+  const int reps = args.smoke ? 1 : 3;
 
   TablePrinter table({"ops/schedule", "conjuncts", "schedules",
                       "uncached ms", "cached ms", "speedup"});
-  std::vector<RowResult> rows;
+  bench::BenchReport report("analysis_context");
   for (const Config& config : configs) {
     Scenario sc = Scenario::Make(config.conjuncts);
     Rng rng(4242);
@@ -186,21 +167,26 @@ int main(int argc, char** argv) {
     }
 
     SweepDigest uncached_digest, cached_digest;
-    double uncached_ms = MillisOf(
-        [&] { return UncachedSweep(sc.db, *sc.ic, schedules); },
-        uncached_digest, 3);
-    double cached_ms = MillisOf(
-        [&] { return CachedSweep(sc.db, *sc.ic, schedules); },
-        cached_digest, 3);
+    const double uncached_ms = bench::BestOfMs(reps, [&] {
+      uncached_digest = UncachedSweep(sc.db, *sc.ic, schedules);
+    });
+    const double cached_ms = bench::BestOfMs(reps, [&] {
+      cached_digest = CachedSweep(sc.db, *sc.ic, schedules);
+    });
     NSE_CHECK(uncached_digest == cached_digest);
 
-    RowResult row{config.ops, config.conjuncts, config.schedules,
-                  uncached_ms, cached_ms};
-    table.AddRow({StrCat(row.ops), StrCat(row.conjuncts),
-                  StrCat(row.schedules), FormatDouble(row.uncached_ms, 2),
-                  FormatDouble(row.cached_ms, 2),
-                  StrCat(FormatDouble(row.speedup(), 2), "x")});
-    rows.push_back(row);
+    const double speedup = cached_ms == 0 ? 0 : uncached_ms / cached_ms;
+    table.AddRow({StrCat(config.ops), StrCat(config.conjuncts),
+                  StrCat(config.schedules), FormatDouble(uncached_ms, 2),
+                  FormatDouble(cached_ms, 2),
+                  StrCat(FormatDouble(speedup, 2), "x")});
+    report.AddRow()
+        .Key("schedules", config.schedules)
+        .Exact("ops", config.ops)
+        .Exact("conjuncts", config.conjuncts)
+        .Ratio("speedup", speedup)
+        .Info("uncached_ms", uncached_ms)
+        .Info("cached_ms", cached_ms);
   }
 
   std::cout << "\n=== AnalysisContext: cached vs uncached checker sweeps ===\n"
@@ -208,23 +194,6 @@ int main(int argc, char** argv) {
             << "(same verdicts on both paths; speedup is pure artifact "
                "reuse)\n";
 
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::cerr << "cannot write " << json_path << "\n";
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"analysis_context\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RowResult& row = rows[i];
-    std::fprintf(json,
-                 "    {\"ops\": %zu, \"conjuncts\": %zu, \"schedules\": %zu, "
-                 "\"uncached_ms\": %.3f, \"cached_ms\": %.3f, "
-                 "\"speedup\": %.3f}%s\n",
-                 row.ops, row.conjuncts, row.schedules, row.uncached_ms,
-                 row.cached_ms, row.speedup(), i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::cout << "baseline written to " << json_path << "\n";
-  return 0;
+  if (args.smoke) return 0;
+  return report.Write(args.json_path) ? 0 : 1;
 }

@@ -26,14 +26,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "analysis/conflict_graph.h"
+#include "bench_report.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -174,12 +173,9 @@ double RunInsertQuery(size_t num_txns, size_t edges, uint64_t seed,
 struct Row {
   std::string workload;
   size_t txns = 0;
-  size_t ticks = 0;  // stall ticks, or inserted edges
+  size_t ticks = 0;  // stall ticks, inserted edges, or schedule ops
   double legacy_ms = 0;
   double incremental_ms = 0;
-  double legacy_per_tick_us = 0;
-  double incremental_per_tick_us = 0;
-  double speedup = 0;
   uint64_t cycles_resolved = 0;
   uint64_t edge_updates = 0;
 };
@@ -198,15 +194,9 @@ double BestOf(int reps, const std::function<double()>& run) {
 
 int main(int argc, char** argv) {
   using namespace nse;
-  bool smoke = false;
-  std::string json_path = "BENCH_conflict_graph.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      json_path = argv[i];
-    }
-  }
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_conflict_graph.json");
+  const bool smoke = args.smoke;
   const int reps = smoke ? 1 : 3;
 
   std::vector<StallWorkload> stalls =
@@ -217,7 +207,29 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"workload", "txns", "ticks", "legacy us/tick",
                       "incr us/tick", "speedup", "cycles"});
-  std::vector<Row> rows;
+  bench::BenchReport report("conflict_graph");
+  auto add_row = [&](const Row& row, bool stall) {
+    const double legacy_per_tick_us = row.legacy_ms * 1000.0 / row.ticks;
+    const double incr_per_tick_us = row.incremental_ms * 1000.0 / row.ticks;
+    const double speedup =
+        row.incremental_ms == 0 ? 0 : row.legacy_ms / row.incremental_ms;
+    table.AddRow({row.workload, StrCat(row.txns), StrCat(row.ticks),
+                  FormatDouble(legacy_per_tick_us, 3),
+                  FormatDouble(incr_per_tick_us, 3),
+                  StrCat(FormatDouble(speedup, 2), "x"),
+                  stall ? StrCat(row.cycles_resolved) : "-"});
+    report.AddRow()
+        .Key("workload", row.workload)
+        .Key("txns", row.txns)
+        .Key("ticks", row.ticks)
+        .Exact("cycles_resolved", row.cycles_resolved)
+        .Ratio("speedup", speedup)
+        .Info("legacy_ms", row.legacy_ms)
+        .Info("incremental_ms", row.incremental_ms)
+        .Info("legacy_per_tick_us", legacy_per_tick_us)
+        .Info("incremental_per_tick_us", incr_per_tick_us)
+        .Info("edge_updates", row.edge_updates);
+  };
 
   for (const StallWorkload& w : stalls) {
     // Parity first (always): the incremental verdict must match the batch
@@ -244,17 +256,9 @@ int main(int argc, char** argv) {
     row.ticks = w.ticks;
     row.legacy_ms = legacy_ms;
     row.incremental_ms = incr_ms;
-    row.legacy_per_tick_us = legacy_ms * 1000.0 / w.ticks;
-    row.incremental_per_tick_us = incr_ms * 1000.0 / w.ticks;
-    row.speedup = incr_ms == 0 ? 0 : legacy_ms / incr_ms;
     row.cycles_resolved = incr_stats.cycles_resolved;
     row.edge_updates = incr_stats.edge_updates;
-    rows.push_back(row);
-    table.AddRow({row.workload, StrCat(row.txns), StrCat(row.ticks),
-                  FormatDouble(row.legacy_per_tick_us, 3),
-                  FormatDouble(row.incremental_per_tick_us, 3),
-                  StrCat(FormatDouble(row.speedup, 2), "x"),
-                  StrCat(row.cycles_resolved)});
+    add_row(row, /*stall=*/true);
   }
 
   struct InsertCase {
@@ -285,14 +289,7 @@ int main(int argc, char** argv) {
     row.ticks = c.edges;
     row.legacy_ms = legacy_ms;
     row.incremental_ms = incr_ms;
-    row.legacy_per_tick_us = legacy_ms * 1000.0 / c.edges;
-    row.incremental_per_tick_us = incr_ms * 1000.0 / c.edges;
-    row.speedup = incr_ms == 0 ? 0 : legacy_ms / incr_ms;
-    rows.push_back(row);
-    table.AddRow({row.workload, StrCat(row.txns), StrCat(row.ticks),
-                  FormatDouble(row.legacy_per_tick_us, 3),
-                  FormatDouble(row.incremental_per_tick_us, 3),
-                  StrCat(FormatDouble(row.speedup, 2), "x"), "-"});
+    add_row(row, /*stall=*/false);
   }
 
   // Dense-item builds: many txns hammering a handful of items — the worst
@@ -354,14 +351,7 @@ int main(int argc, char** argv) {
     row.ticks = c.ops;
     row.legacy_ms = reference_ms;
     row.incremental_ms = dense_ms;
-    row.legacy_per_tick_us = reference_ms * 1000.0 / c.ops;
-    row.incremental_per_tick_us = dense_ms * 1000.0 / c.ops;
-    row.speedup = dense_ms == 0 ? 0 : reference_ms / dense_ms;
-    rows.push_back(row);
-    table.AddRow({row.workload, StrCat(row.txns), StrCat(row.ticks),
-                  FormatDouble(row.legacy_per_tick_us, 3),
-                  FormatDouble(row.incremental_per_tick_us, 3),
-                  StrCat(FormatDouble(row.speedup, 2), "x"), "-"});
+    add_row(row, /*stall=*/false);
   }
 
   std::cout << "\n=== Conflict graph: incremental (Pearce-Kelly) vs "
@@ -376,30 +366,5 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::cerr << "cannot write " << json_path << "\n";
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"conflict_graph\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(
-        json,
-        "    {\"workload\": \"%s\", \"txns\": %zu, \"ticks\": %zu, "
-        "\"legacy_ms\": %.3f, \"incremental_ms\": %.3f, "
-        "\"legacy_per_tick_us\": %.3f, \"incremental_per_tick_us\": %.3f, "
-        "\"speedup\": %.3f, \"cycles_resolved\": %llu, "
-        "\"edge_updates\": %llu}%s\n",
-        row.workload.c_str(), row.txns, row.ticks, row.legacy_ms,
-        row.incremental_ms, row.legacy_per_tick_us,
-        row.incremental_per_tick_us, row.speedup,
-        static_cast<unsigned long long>(row.cycles_resolved),
-        static_cast<unsigned long long>(row.edge_updates),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::cout << "baseline written to " << json_path << "\n";
-  return 0;
+  return report.Write(args.json_path) ? 0 : 1;
 }

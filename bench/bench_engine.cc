@@ -7,24 +7,24 @@
 // same harness additionally overlaps the CPU work.
 //
 // Wall-clock rows are inherently noisy, so the JSON guards only the exact
-// `completed` counter and the tolerance-floored `speedup_vs_sequential`
-// ratio (threads-N throughput over the same policy's threads-1 run);
-// `txns_per_s` and `wall_ms` are informational. Every run's trace is
+// `completed` counter and, on the low-contention rows, the `ratio`
+// `speedup_vs_sequential` (threads-N throughput over the same policy's
+// threads-1 run). Hot-spot speedups thrash nondeterministically (TO
+// especially), so there the same field is `info`, as are `txns_per_s`
+// and `wall_ms`. Every run's trace is
 // differentially checked (CSR via the independent checker) and residual
 // policy state must be zero — the bench doubles as a stress harness.
 //
 // --smoke runs tiny configurations with the checks and no JSON; the full
 // run writes BENCH_engine.json (override the path with the last argument).
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/serializability.h"
+#include "bench_report.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "engine/engine.h"
@@ -41,23 +41,6 @@ struct BenchCase {
   std::string name;
   PartitionedWorkloadConfig config;
   bool low_contention = false;  // rows feeding the scaling acceptance check
-};
-
-struct Row {
-  std::string workload;
-  std::string policy;
-  size_t txns = 0;
-  size_t threads = 0;
-  uint64_t completed = 0;
-  uint64_t wait_events = 0;
-  uint64_t rollbacks = 0;  // aborts + restarts + wounds
-  double wall_ms = 0;
-  double txns_per_s = 0;
-  double speedup_vs_sequential = 1.0;
-  // Only low-contention rows emit the tolerance-guarded speedup field:
-  // that is the workload the scaling promise is about. Hot-spot speedups
-  // thrash nondeterministically (TO especially) and stay informational.
-  bool guard_speedup = false;
 };
 
 std::unique_ptr<SchedulerPolicy> MakePolicy(const std::string& which,
@@ -98,15 +81,9 @@ EngineResult RunChecked(const std::string& policy_name,
 
 int main(int argc, char** argv) {
   using namespace nse;
-  bool smoke = false;
-  std::string json_path = "BENCH_engine.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      json_path = argv[i];
-    }
-  }
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_engine.json");
+  const bool smoke = args.smoke;
 
   const std::vector<size_t> thread_counts =
       smoke ? std::vector<size_t>{1, 2} : std::vector<size_t>{1, 2, 4, 8};
@@ -148,7 +125,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"workload", "policy", "threads", "completed",
                       "wall_ms", "txns_per_s", "speedup", "waits",
                       "rollbacks"});
-  std::vector<Row> rows;
+  bench::BenchReport report("engine");
   bool low_contention_scaled = false;
 
   for (const BenchCase& c : cases) {
@@ -162,31 +139,36 @@ int main(int argc, char** argv) {
         config.threads = threads;
         EngineResult result = RunChecked(policy, *workload, config);
 
-        Row row;
-        row.workload = c.name;
-        row.policy = policy;
-        row.txns = workload->scripts.size();
-        row.threads = threads;
-        row.completed = result.completed;
-        row.wait_events = result.wait_events;
-        row.rollbacks = result.aborts + result.restarts + result.wounds;
-        row.wall_ms = static_cast<double>(result.wall_micros) / 1000.0;
-        row.txns_per_s = result.throughput_tps;
         if (threads == 1) sequential_tps = result.throughput_tps;
-        row.speedup_vs_sequential =
-            sequential_tps == 0 ? 1.0
-                                : result.throughput_tps / sequential_tps;
-        row.guard_speedup = c.low_contention;
-        if (c.low_contention && threads == 4 &&
-            row.speedup_vs_sequential > 1.0) {
+        const double speedup = sequential_tps == 0
+                                   ? 1.0
+                                   : result.throughput_tps / sequential_tps;
+        if (c.low_contention && threads == 4 && speedup > 1.0) {
           low_contention_scaled = true;
         }
-        rows.push_back(row);
-        table.AddRow({row.workload, row.policy, StrCat(row.threads),
-                      StrCat(row.completed), FormatDouble(row.wall_ms, 2),
-                      FormatDouble(row.txns_per_s, 1),
-                      FormatDouble(row.speedup_vs_sequential, 2),
-                      StrCat(row.wait_events), StrCat(row.rollbacks)});
+        const uint64_t rollbacks =
+            result.aborts + result.restarts + result.wounds;
+        const double wall_ms = static_cast<double>(result.wall_micros) / 1000.0;
+        table.AddRow({c.name, policy, StrCat(threads),
+                      StrCat(result.completed), FormatDouble(wall_ms, 2),
+                      FormatDouble(result.throughput_tps, 1),
+                      FormatDouble(speedup, 2), StrCat(result.wait_events),
+                      StrCat(rollbacks)});
+        bench::BenchRow& row = report.AddRow()
+                                   .Key("workload", c.name)
+                                   .Key("policy", policy)
+                                   .Key("txns", workload->scripts.size())
+                                   .Key("threads", threads)
+                                   .Exact("completed", result.completed);
+        // Only the low-contention rows guard the speedup: that is the
+        // workload the scaling promise is about.
+        if (c.low_contention) {
+          row.Ratio("speedup_vs_sequential", speedup);
+        } else {
+          row.Info("speedup_vs_sequential", speedup);
+        }
+        row.Info("txns_per_s", bench::JsonValue(result.throughput_tps, 1))
+            .Info("wall_ms", wall_ms);
       }
     }
   }
@@ -199,35 +181,9 @@ int main(int argc, char** argv) {
                "speedup_vs_sequential tracks admission concurrency, not "
                "core count)\n";
 
-  if (!smoke) {
-    NSE_CHECK_MSG(low_contention_scaled,
-                  "the engine did not scale past 1x committed-txns/sec at "
-                  "4 threads on the low-contention workload");
-    std::FILE* json = std::fopen(json_path.c_str(), "w");
-    if (json == nullptr) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 1;
-    }
-    std::fprintf(json, "{\n  \"bench\": \"engine\",\n  \"rows\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      std::fprintf(
-          json,
-          "    {\"workload\": \"%s\", \"policy\": \"%s\", \"txns\": %zu, "
-          "\"threads\": %zu, \"completed\": %llu, ",
-          row.workload.c_str(), row.policy.c_str(), row.txns, row.threads,
-          static_cast<unsigned long long>(row.completed));
-      if (row.guard_speedup) {
-        std::fprintf(json, "\"speedup_vs_sequential\": %.3f, ",
-                     row.speedup_vs_sequential);
-      }
-      std::fprintf(json, "\"txns_per_s\": %.1f, \"wall_ms\": %.3f}%s\n",
-                   row.txns_per_s, row.wall_ms,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::cout << "baseline written to " << json_path << "\n";
-  }
-  return 0;
+  if (smoke) return 0;
+  NSE_CHECK_MSG(low_contention_scaled,
+                "the engine did not scale past 1x committed-txns/sec at "
+                "4 threads on the low-contention workload");
+  return report.Write(args.json_path) ? 0 : 1;
 }

@@ -23,8 +23,6 @@
 // writes BENCH_mvcc.json (override the path with the last argument).
 
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -34,6 +32,7 @@
 #include "analysis/multiversion.h"
 #include "analysis/robustness.h"
 #include "analysis/serializability.h"
+#include "bench_report.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -158,9 +157,9 @@ Outcome RunChecked(const std::string& which,
     policy = std::move(p);
   }
 
-  auto start = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
   auto result = RunSimulation(*policy, scripts);
-  auto end = std::chrono::steady_clock::now();
+  const double wall_ms = bench::MsSince(start);
   NSE_CHECK_MSG(result.ok(), "simulation failed under %s: %s", which.c_str(),
                 result.status().ToString().c_str());
   NSE_CHECK_MSG(result->completed == n, "%s completed %llu of %zu txns",
@@ -189,8 +188,7 @@ Outcome RunChecked(const std::string& which,
 
   Outcome outcome;
   outcome.result = std::move(result).value();
-  outcome.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
+  outcome.wall_ms = wall_ms;
   outcome.read_only_rollbacks = ReadOnlyRollbacks(scripts, outcome.result);
   if (mvto != nullptr || si != nullptr) {
     NSE_CHECK_MSG(outcome.read_only_rollbacks == 0,
@@ -201,35 +199,14 @@ Outcome RunChecked(const std::string& which,
   return outcome;
 }
 
-struct Row {
-  std::string workload;
-  std::string policy;
-  size_t txns = 0;
-  uint64_t completed = 0;
-  uint64_t rollbacks = 0;  // aborts + restarts + wounds, all transactions
-  uint64_t read_only_rollbacks = 0;
-  uint64_t wait_ticks = 0;
-  uint64_t makespan = 0;
-  double throughput = 0;  // completed / makespan, simulated ticks
-  double speedup_vs_2pl = 1.0;
-  double wall_ms = 0;
-  bool guard_speedup = false;  // only non-2PL rows carry the ratio
-};
-
 }  // namespace
 }  // namespace nse
 
 int main(int argc, char** argv) {
   using namespace nse;
-  bool smoke = false;
-  std::string json_path = "BENCH_mvcc.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      json_path = argv[i];
-    }
-  }
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_mvcc.json");
+  const bool smoke = args.smoke;
 
   const size_t num_txns = smoke ? 6 : 16;
   const size_t num_items = 4;
@@ -248,7 +225,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"workload", "policy", "completed", "rollbacks",
                       "ro_rollbacks", "waits", "makespan", "speedup_vs_2pl"});
-  std::vector<Row> rows;
+  bench::BenchReport report("mvcc");
 
   for (const MixCase& mix : mixes) {
     auto scripts =
@@ -256,42 +233,41 @@ int main(int argc, char** argv) {
     double baseline_tput = 0;
     for (const std::string& policy : policies) {
       Outcome outcome = RunChecked(policy, scripts);
-
-      Row row;
-      row.workload = mix.name;
-      row.policy = policy;
-      row.txns = scripts.size();
-      row.completed = outcome.result.completed;
-      row.rollbacks = outcome.result.aborts + outcome.result.restarts +
-                      outcome.result.wounds;
-      row.read_only_rollbacks = outcome.read_only_rollbacks;
-      row.wait_ticks = outcome.result.total_wait_ticks;
-      row.makespan = outcome.result.makespan;
-      row.throughput = outcome.result.throughput;
-      row.wall_ms = outcome.wall_ms;
+      const SimResult& r = outcome.result;
+      const uint64_t rollbacks = r.aborts + r.restarts + r.wounds;
+      bench::BenchRow& row = report.AddRow()
+                                 .Key("workload", mix.name)
+                                 .Key("policy", policy)
+                                 .Key("txns", scripts.size())
+                                 .Exact("completed", r.completed)
+                                 .Exact("rollbacks", rollbacks)
+                                 .Exact("read_only_rollbacks",
+                                        outcome.read_only_rollbacks);
+      // Only non-2PL rows carry the ratio: 2PL is its denominator.
+      std::string speedup_cell = "-";
       if (policy == "strict-2pl") {
-        baseline_tput = row.throughput;
+        baseline_tput = r.throughput;
       } else {
-        row.speedup_vs_2pl =
-            baseline_tput == 0 ? 1.0 : row.throughput / baseline_tput;
-        row.guard_speedup = true;
+        const double speedup =
+            baseline_tput == 0 ? 1.0 : r.throughput / baseline_tput;
+        row.Ratio("speedup_vs_2pl", speedup);
+        speedup_cell = FormatDouble(speedup, 2);
+        // The read-mostly floor is asserted on the full configuration
+        // only: smoke makespans are a handful of ticks, so the ratio
+        // quantizes too coarsely to carry the claim.
+        if (!smoke && mix.read_mostly &&
+            (policy == "mvto" || policy == "snapshot-isolation")) {
+          NSE_CHECK_MSG(speedup >= 1.0,
+                        "%s fell below strict 2PL on the read-mostly mix %s "
+                        "(speedup %.3f)",
+                        policy.c_str(), mix.name.c_str(), speedup);
+        }
       }
-      // The read-mostly floor is asserted on the full configuration only:
-      // smoke makespans are a handful of ticks, so the ratio quantizes
-      // too coarsely to carry the claim.
-      if (!smoke && mix.read_mostly &&
-          (policy == "mvto" || policy == "snapshot-isolation")) {
-        NSE_CHECK_MSG(row.speedup_vs_2pl >= 1.0,
-                      "%s fell below strict 2PL on the read-mostly mix %s "
-                      "(speedup %.3f)",
-                      policy.c_str(), mix.name.c_str(), row.speedup_vs_2pl);
-      }
-      rows.push_back(row);
-      table.AddRow({row.workload, row.policy, StrCat(row.completed),
-                    StrCat(row.rollbacks), StrCat(row.read_only_rollbacks),
-                    StrCat(row.wait_ticks), StrCat(row.makespan),
-                    row.guard_speedup ? FormatDouble(row.speedup_vs_2pl, 2)
-                                      : std::string("-")});
+      row.Info("makespan", r.makespan).Info("wall_ms", outcome.wall_ms);
+      table.AddRow({mix.name, policy, StrCat(r.completed), StrCat(rollbacks),
+                    StrCat(outcome.read_only_rollbacks),
+                    StrCat(r.total_wait_ticks), StrCat(r.makespan),
+                    speedup_cell});
     }
   }
 
@@ -302,34 +278,6 @@ int main(int argc, char** argv) {
                "writers-never-block-readers pin; 0 for mvto and "
                "snapshot-isolation on every mix)\n";
 
-  if (!smoke) {
-    std::FILE* json = std::fopen(json_path.c_str(), "w");
-    if (json == nullptr) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 1;
-    }
-    std::fprintf(json, "{\n  \"bench\": \"mvcc\",\n  \"rows\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      std::fprintf(
-          json,
-          "    {\"workload\": \"%s\", \"policy\": \"%s\", \"txns\": %zu, "
-          "\"completed\": %llu, \"rollbacks\": %llu, "
-          "\"read_only_rollbacks\": %llu, ",
-          row.workload.c_str(), row.policy.c_str(), row.txns,
-          static_cast<unsigned long long>(row.completed),
-          static_cast<unsigned long long>(row.rollbacks),
-          static_cast<unsigned long long>(row.read_only_rollbacks));
-      if (row.guard_speedup) {
-        std::fprintf(json, "\"speedup_vs_2pl\": %.3f, ", row.speedup_vs_2pl);
-      }
-      std::fprintf(json, "\"makespan\": %llu, \"wall_ms\": %.3f}%s\n",
-                   static_cast<unsigned long long>(row.makespan), row.wall_ms,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::cout << "baseline written to " << json_path << "\n";
-  }
-  return 0;
+  if (smoke) return 0;
+  return report.Write(args.json_path) ? 0 : 1;
 }

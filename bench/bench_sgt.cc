@@ -19,13 +19,12 @@
 // BENCH_sgt.json (override the path with the last argument).
 
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "analysis/serializability.h"
+#include "bench_report.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "scheduler/fault_injection.h"
@@ -54,9 +53,9 @@ struct PolicyOutcome {
 };
 
 PolicyOutcome RunPolicy(SchedulerPolicy& policy, const Workload& workload) {
-  auto start = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
   auto result = RunSimulation(policy, workload.scripts);
-  auto end = std::chrono::steady_clock::now();
+  const double wall_ms = bench::MsSince(start);
   NSE_CHECK_MSG(result.ok(), "simulation failed under %s: %s",
                 policy.name().c_str(), result.status().ToString().c_str());
   NSE_CHECK_MSG(result->completed == workload.scripts.size(),
@@ -65,8 +64,7 @@ PolicyOutcome RunPolicy(SchedulerPolicy& policy, const Workload& workload) {
                 workload.scripts.size());
   PolicyOutcome outcome;
   outcome.result = std::move(result).value();
-  outcome.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
+  outcome.wall_ms = wall_ms;
   return outcome;
 }
 
@@ -78,9 +76,9 @@ PolicyOutcome RunPolicy(SchedulerPolicy& policy, const Workload& workload) {
 PolicyOutcome RunPolicyFaulted(SchedulerPolicy& policy,
                                const Workload& workload,
                                const EngineConfig& sim_config) {
-  auto start = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
   auto result = RunSimulation(policy, workload.scripts, sim_config);
-  auto end = std::chrono::steady_clock::now();
+  const double wall_ms = bench::MsSince(start);
   NSE_CHECK_MSG(result.ok(), "faulted simulation failed under %s: %s",
                 policy.name().c_str(), result.status().ToString().c_str());
   NSE_CHECK_MSG(
@@ -98,8 +96,7 @@ PolicyOutcome RunPolicyFaulted(SchedulerPolicy& policy,
                 policy.name().c_str());
   PolicyOutcome outcome;
   outcome.result = std::move(result).value();
-  outcome.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
+  outcome.wall_ms = wall_ms;
   return outcome;
 }
 
@@ -122,15 +119,9 @@ struct Row {
 
 int main(int argc, char** argv) {
   using namespace nse;
-  bool smoke = false;
-  std::string json_path = "BENCH_sgt.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      json_path = argv[i];
-    }
-  }
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_sgt.json");
+  const bool smoke = args.smoke;
 
   auto make_case = [&](std::string name, size_t txns, size_t partitions,
                        size_t per_txn, double hotspot, uint64_t seed,
@@ -424,115 +415,72 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::cerr << "cannot write " << json_path << "\n";
-    return 1;
+  bench::BenchReport report("sgt");
+  for (const Row& row : rows) {
+    const SimResult& r2pl = row.strict_2pl.result;
+    const SimResult& rpw = row.pw_2pl.result;
+    const SimResult& rww = row.wound_wait.result;
+    const SimResult& rto = row.to.result;
+    const SimResult& rsgt = row.sgt.result;
+    const SimResult& rvic = row.sgt_victim.result;
+    const SimResult& rpred = row.sgt_victim_pred.result;
+    auto tput = [](const SimResult& r) {
+      return bench::JsonValue(r.throughput, 4);
+    };
+    report.AddRow()
+        .Key("workload", row.workload)
+        .Key("txns", row.txns)
+        .Ratio("speedup", row.speedup)
+        .Exact("completed", rsgt.completed)
+        .Exact("aborts", rsgt.aborts)
+        .Exact("restarts", rsgt.restarts)
+        .Exact("vetoes", rsgt.vetoes)
+        .Exact("restarts_to", rto.restarts)
+        .Exact("aborts_ww", rww.aborts)
+        .Exact("wounds_ww", rww.wounds)
+        .Exact("restarts_victim", rvic.restarts)
+        .Exact("wounds_victim", rvic.wounds)
+        .Exact("aborts_victim", rvic.aborts)
+        .Exact("restarts_victim_pred", rpred.restarts)
+        .Exact("wounds_victim_pred", rpred.wounds)
+        .Exact("aborts_victim_pred", rpred.aborts)
+        .Info("makespan_2pl", r2pl.makespan)
+        .Info("makespan_pw2pl", rpw.makespan)
+        .Info("makespan_sgt", rsgt.makespan)
+        .Info("makespan_ww", rww.makespan)
+        .Info("makespan_to", rto.makespan)
+        .Info("makespan_victim", rvic.makespan)
+        .Info("makespan_victim_pred", rpred.makespan)
+        .Info("wait_ticks_2pl", r2pl.total_wait_ticks)
+        .Info("wait_ticks_sgt", rsgt.total_wait_ticks)
+        .Info("throughput_2pl", tput(r2pl))
+        .Info("throughput_pw2pl", tput(rpw))
+        .Info("throughput_sgt", tput(rsgt))
+        .Info("throughput_ww", tput(rww))
+        .Info("throughput_to", tput(rto))
+        .Info("throughput_victim", tput(rvic))
+        .Info("throughput_victim_pred", tput(rpred))
+        .Info("wall_ms", row.sgt.wall_ms);
   }
-  std::fprintf(json, "{\n  \"bench\": \"sgt\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(
-        json,
-        "    {\"workload\": \"%s\", \"txns\": %zu, "
-        "\"speedup\": %.3f, "
-        "\"completed\": %llu, \"aborts\": %llu, \"restarts\": %llu, "
-        "\"vetoes\": %llu, "
-        "\"restarts_to\": %llu, \"aborts_ww\": %llu, \"wounds_ww\": %llu, "
-        "\"restarts_victim\": %llu, \"wounds_victim\": %llu, "
-        "\"aborts_victim\": %llu, "
-        "\"restarts_victim_pred\": %llu, \"wounds_victim_pred\": %llu, "
-        "\"aborts_victim_pred\": %llu, "
-        "\"makespan_2pl\": %llu, \"makespan_pw2pl\": %llu, "
-        "\"makespan_sgt\": %llu, "
-        "\"makespan_ww\": %llu, \"makespan_to\": %llu, "
-        "\"makespan_victim\": %llu, \"makespan_victim_pred\": %llu, "
-        "\"wait_ticks_2pl\": %llu, \"wait_ticks_sgt\": %llu, "
-        "\"throughput_2pl\": %.4f, \"throughput_pw2pl\": %.4f, "
-        "\"throughput_sgt\": %.4f, "
-        "\"throughput_ww\": %.4f, \"throughput_to\": %.4f, "
-        "\"throughput_victim\": %.4f, \"throughput_victim_pred\": %.4f, "
-        "\"wall_ms\": %.3f}%s\n",
-        row.workload.c_str(), row.txns, row.speedup,
-        static_cast<unsigned long long>(row.sgt.result.completed),
-        static_cast<unsigned long long>(row.sgt.result.aborts),
-        static_cast<unsigned long long>(row.sgt.result.restarts),
-        static_cast<unsigned long long>(row.sgt.result.vetoes),
-        static_cast<unsigned long long>(row.to.result.restarts),
-        static_cast<unsigned long long>(row.wound_wait.result.aborts),
-        static_cast<unsigned long long>(row.wound_wait.result.wounds),
-        static_cast<unsigned long long>(row.sgt_victim.result.restarts),
-        static_cast<unsigned long long>(row.sgt_victim.result.wounds),
-        static_cast<unsigned long long>(row.sgt_victim.result.aborts),
-        static_cast<unsigned long long>(row.sgt_victim_pred.result.restarts),
-        static_cast<unsigned long long>(row.sgt_victim_pred.result.wounds),
-        static_cast<unsigned long long>(row.sgt_victim_pred.result.aborts),
-        static_cast<unsigned long long>(row.strict_2pl.result.makespan),
-        static_cast<unsigned long long>(row.pw_2pl.result.makespan),
-        static_cast<unsigned long long>(row.sgt.result.makespan),
-        static_cast<unsigned long long>(row.wound_wait.result.makespan),
-        static_cast<unsigned long long>(row.to.result.makespan),
-        static_cast<unsigned long long>(row.sgt_victim.result.makespan),
-        static_cast<unsigned long long>(row.sgt_victim_pred.result.makespan),
-        static_cast<unsigned long long>(row.strict_2pl.result.total_wait_ticks),
-        static_cast<unsigned long long>(row.sgt.result.total_wait_ticks),
-        row.strict_2pl.result.throughput, row.pw_2pl.result.throughput,
-        row.sgt.result.throughput, row.wound_wait.result.throughput,
-        row.to.result.throughput, row.sgt_victim.result.throughput,
-        row.sgt_victim_pred.result.throughput,
-        row.sgt.wall_ms,
-        i + 1 < rows.size() || !fault_rows.empty() ? "," : "");
+  for (const FaultRow& frow : fault_rows) {
+    bench::BenchRow& row =
+        report.AddRow().Key("workload", frow.name).Key("txns", frow.txns);
+    const std::pair<const char*, const SimResult*> policies[] = {
+        {"2pl", &frow.strict_2pl.result},
+        {"to", &frow.to.result},
+        {"sgt", &frow.sgt.result}};
+    for (const auto& [suffix, r] : policies) {
+      const std::string s = suffix;
+      row.Exact("completed_" + s, r->completed)
+          .Exact("crashes_" + s, r->crashes)
+          .Exact("fault_aborts_" + s, r->fault_aborts)
+          .Exact("boosts_" + s, r->boosts)
+          .Exact("shed_" + s, r->shed)
+          .Exact("backoff_ticks_" + s, r->backoff_ticks)
+          .Exact("max_restarts_" + s, r->max_txn_restarts)
+          .Info("makespan_" + s, r->makespan);
+    }
+    row.Info("wall_ms", frow.sgt.wall_ms);
   }
-  for (size_t i = 0; i < fault_rows.size(); ++i) {
-    const FaultRow& frow = fault_rows[i];
-    const SimResult& r2pl = frow.strict_2pl.result;
-    const SimResult& rto = frow.to.result;
-    const SimResult& rsgt = frow.sgt.result;
-    std::fprintf(
-        json,
-        "    {\"workload\": \"%s\", \"txns\": %zu, "
-        "\"completed_2pl\": %llu, \"crashes_2pl\": %llu, "
-        "\"fault_aborts_2pl\": %llu, \"boosts_2pl\": %llu, "
-        "\"shed_2pl\": %llu, \"backoff_ticks_2pl\": %llu, "
-        "\"max_restarts_2pl\": %llu, \"makespan_2pl\": %llu, "
-        "\"completed_to\": %llu, \"crashes_to\": %llu, "
-        "\"fault_aborts_to\": %llu, \"boosts_to\": %llu, "
-        "\"shed_to\": %llu, \"backoff_ticks_to\": %llu, "
-        "\"max_restarts_to\": %llu, \"makespan_to\": %llu, "
-        "\"completed_sgt\": %llu, \"crashes_sgt\": %llu, "
-        "\"fault_aborts_sgt\": %llu, \"boosts_sgt\": %llu, "
-        "\"shed_sgt\": %llu, \"backoff_ticks_sgt\": %llu, "
-        "\"max_restarts_sgt\": %llu, \"makespan_sgt\": %llu, "
-        "\"wall_ms\": %.3f}%s\n",
-        frow.name.c_str(), frow.txns,
-        static_cast<unsigned long long>(r2pl.completed),
-        static_cast<unsigned long long>(r2pl.crashes),
-        static_cast<unsigned long long>(r2pl.fault_aborts),
-        static_cast<unsigned long long>(r2pl.boosts),
-        static_cast<unsigned long long>(r2pl.shed),
-        static_cast<unsigned long long>(r2pl.backoff_ticks),
-        static_cast<unsigned long long>(r2pl.max_txn_restarts),
-        static_cast<unsigned long long>(r2pl.makespan),
-        static_cast<unsigned long long>(rto.completed),
-        static_cast<unsigned long long>(rto.crashes),
-        static_cast<unsigned long long>(rto.fault_aborts),
-        static_cast<unsigned long long>(rto.boosts),
-        static_cast<unsigned long long>(rto.shed),
-        static_cast<unsigned long long>(rto.backoff_ticks),
-        static_cast<unsigned long long>(rto.max_txn_restarts),
-        static_cast<unsigned long long>(rto.makespan),
-        static_cast<unsigned long long>(rsgt.completed),
-        static_cast<unsigned long long>(rsgt.crashes),
-        static_cast<unsigned long long>(rsgt.fault_aborts),
-        static_cast<unsigned long long>(rsgt.boosts),
-        static_cast<unsigned long long>(rsgt.shed),
-        static_cast<unsigned long long>(rsgt.backoff_ticks),
-        static_cast<unsigned long long>(rsgt.max_txn_restarts),
-        static_cast<unsigned long long>(rsgt.makespan),
-        frow.sgt.wall_ms, i + 1 < fault_rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::cout << "baseline written to " << json_path << "\n";
-  return 0;
+  return report.Write(args.json_path) ? 0 : 1;
 }

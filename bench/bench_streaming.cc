@@ -21,15 +21,13 @@
 // run writes BENCH_streaming.json (override the path with the last
 // argument).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "analysis/streaming_checker.h"
+#include "bench_report.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "history/batch_check.h"
@@ -153,12 +151,6 @@ struct StreamRow {
   double batch_ms = 0;
 };
 
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 /// Streams the lane log straight into the checker — nothing materialized.
 StreamRow RunStreamRow(const std::string& name, const LaneConfig& config,
                        size_t window, size_t plane_count) {
@@ -186,7 +178,7 @@ StreamRow RunStreamRow(const std::string& name, const LaneConfig& config,
   });
   NSE_CHECK(!checker.violation_seen());  // acyclic by construction
   StreamingReport report = checker.Finish();
-  const double wall_ms = MsSince(start);
+  const double wall_ms = bench::MsSince(start);
   NSE_CHECK(report.ok());
   // The memory contract: retention tracks the window plus the concurrent
   // lanes, not the log.
@@ -218,11 +210,11 @@ StreamRow RunSpeedupRow(const LaneConfig& config, size_t window) {
   StreamingOptions options;
   options.window = window;
   StreamingReport streaming = CheckHistoryStreaming(h, options);
-  const double streaming_ms = MsSince(start);
+  const double streaming_ms = bench::MsSince(start);
 
   start = std::chrono::steady_clock::now();
   BatchReport batch = CheckHistoryBatch(h);
-  const double batch_ms = MsSince(start);
+  const double batch_ms = bench::MsSince(start);
 
   NSE_CHECK(streaming.full.ok == batch.full.ok);
   NSE_CHECK(streaming.aborted_reads == batch.aborted_reads);
@@ -258,19 +250,21 @@ void PrintRow(const StreamRow& row) {
   std::printf("\n");
 }
 
-int Run(bool smoke, uint64_t ops_override, const std::string& json_path) {
+}  // namespace
+}  // namespace nse
+
+int main(int argc, char** argv) {
+  using namespace nse;
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_streaming.json");
   LaneConfig stream_config;
   LaneConfig speedup_config;
   speedup_config.target_ops = 50'000;
   speedup_config.seed = 7;
   speedup_config.items_per_lane = 512;  // keep the batch edge count sane
-  if (smoke) {
+  if (args.smoke) {
     stream_config.target_ops = 4'000;
     speedup_config.target_ops = 4'000;
-  }
-  if (ops_override != 0) {
-    stream_config.target_ops = ops_override;
-    speedup_config.target_ops = std::min<uint64_t>(ops_override, 50'000);
   }
 
   std::vector<StreamRow> rows;
@@ -280,62 +274,31 @@ int Run(bool smoke, uint64_t ops_override, const std::string& json_path) {
   rows.push_back(RunSpeedupRow(speedup_config, 64));
   for (const StreamRow& row : rows) PrintRow(row);
 
-  if (smoke) {
+  if (args.smoke) {
     std::printf("smoke ok\n");
     return 0;
   }
 
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::cerr << "cannot write " << json_path << "\n";
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"streaming\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const StreamRow& row = rows[i];
-    std::fprintf(
-        json,
-        "    {\"case\": \"%s\", \"window\": %zu, \"planes\": %zu, "
-        "\"events\": %llu, \"ops\": %llu, \"commits\": %llu, "
-        "\"evictions\": %llu, \"rebuilds\": %llu, \"peak_retained\": %zu, "
-        "\"violations\": %llu, \"aborted_reads\": %zu, ",
-        row.name.c_str(), row.window, row.planes,
-        static_cast<unsigned long long>(row.stats.events),
-        static_cast<unsigned long long>(row.stats.ops),
-        static_cast<unsigned long long>(row.stats.commits),
-        static_cast<unsigned long long>(row.stats.evictions),
-        static_cast<unsigned long long>(row.stats.rebuilds),
-        row.stats.peak_retained,
-        static_cast<unsigned long long>(row.violations), row.aborted_reads);
+  bench::BenchReport report("streaming");
+  for (const StreamRow& row : rows) {
+    bench::BenchRow& out = report.AddRow()
+                               .Key("case", row.name)
+                               .Key("window", row.window)
+                               .Key("planes", row.planes)
+                               .Exact("events", row.stats.events)
+                               .Exact("ops", row.stats.ops)
+                               .Exact("commits", row.stats.commits)
+                               .Exact("evictions", row.stats.evictions)
+                               .Exact("rebuilds", row.stats.rebuilds)
+                               .Exact("peak_retained", row.stats.peak_retained)
+                               .Exact("violations", row.violations)
+                               .Exact("aborted_reads", row.aborted_reads);
     if (row.speedup_vs_batch > 0) {
-      std::fprintf(json, "\"speedup_vs_batch\": %.3f, \"batch_ms\": %.3f, ",
-                   row.speedup_vs_batch, row.batch_ms);
+      out.Ratio("speedup_vs_batch", row.speedup_vs_batch)
+          .Info("batch_ms", row.batch_ms);
     }
-    std::fprintf(json, "\"ops_per_s\": %.0f, \"wall_ms\": %.3f}%s\n",
-                 row.ops_per_s, row.wall_ms,
-                 i + 1 < rows.size() ? "," : "");
+    out.Info("ops_per_s", bench::JsonValue(row.ops_per_s, 0))
+        .Info("wall_ms", row.wall_ms);
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::cout << "baseline written to " << json_path << "\n";
-  return 0;
-}
-
-}  // namespace
-}  // namespace nse
-
-int main(int argc, char** argv) {
-  bool smoke = false;
-  uint64_t ops_override = 0;
-  std::string json_path = "BENCH_streaming.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-      ops_override = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      json_path = argv[i];
-    }
-  }
-  return nse::Run(smoke, ops_override, json_path);
+  return report.Write(args.json_path) ? 0 : 1;
 }

@@ -33,14 +33,13 @@
 // --smoke: tiny trial counts, parity assertions only, no JSON — wired into
 // ctest so every CI push exercises the parallel path.
 
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_report.h"
 #include "common/logging.h"
 #include "nse/nse.h"
 #include "scheduler/metrics.h"
@@ -90,27 +89,6 @@ std::vector<BenchCase> MakeCases(bool smoke) {
   return {{"64op_4conj", small, 600}, {"256op_8conj", big, 200}};
 }
 
-struct RowResult {
-  std::string workload;
-  const char* mode = "randomized";
-  /// Exhaustive rows only: "reference" (replay-per-node, the pre-engine
-  /// sequential baseline) or "incremental" (persistent-arena step/undo).
-  const char* enumerator = nullptr;
-  size_t ops = 0;  // measured ops of one serial execution
-  size_t conjuncts = 0;
-  uint64_t trials = 0;
-  size_t threads = 1;
-  bool cache = false;
-  double wall_ms = 0;
-  double trials_per_s = 0;
-  double speedup = 1.0;  // vs. the workload's sequential/uncached row
-  double cache_hit_rate = 0;
-  uint64_t cache_computes = 0;
-  uint64_t checked = 0;
-  uint64_t violations = 0;
-  uint64_t truncated = 0;
-};
-
 SearchOutcome MustSearch(const Workload& workload, const SearchConfig& config,
                          uint64_t seed) {
   Rng rng(seed);
@@ -120,20 +98,6 @@ SearchOutcome MustSearch(const Workload& workload, const SearchConfig& config,
                                      config);
   NSE_CHECK_MSG(outcome.ok(), "%s", outcome.status().ToString().c_str());
   return std::move(outcome).value();
-}
-
-/// Best-of-`reps` wall time for one configuration.
-double MillisOf(const Workload& workload, const SearchConfig& config,
-                uint64_t seed, int reps, SearchOutcome& outcome) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    outcome = MustSearch(workload, config, seed);
-    auto end = std::chrono::steady_clock::now();
-    double ms = std::chrono::duration<double, std::milli>(end - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
 }
 
 size_t SerialOpCount(const Workload& workload) {
@@ -167,36 +131,14 @@ SearchOutcome MustExhaustive(const Workload& workload,
   return std::move(outcome).value();
 }
 
-/// Best-of-`reps` wall time for one exhaustive configuration.
-double ExhaustiveMillisOf(const Workload& workload,
-                          const std::vector<DbState>& states,
-                          const ExhaustiveSearchConfig& config, int reps,
-                          SearchOutcome& outcome) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    auto start = std::chrono::steady_clock::now();
-    outcome = MustExhaustive(workload, states, config);
-    auto end = std::chrono::steady_clock::now();
-    double ms = std::chrono::duration<double, std::milli>(end - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
 }  // namespace
 }  // namespace nse
 
 int main(int argc, char** argv) {
   using namespace nse;
-  bool smoke = false;
-  std::string json_path = "BENCH_violation_search.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      json_path = argv[i];
-    }
-  }
+  const bench::BenchArgs args =
+      bench::ParseBenchArgs(argc, argv, "BENCH_violation_search.json");
+  const bool smoke = args.smoke;
 
   const size_t host_cores = std::thread::hardware_concurrency();
   const int reps = smoke ? 1 : 2;
@@ -217,7 +159,41 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"workload", "mode", "trials", "threads", "cache",
                       "wall ms", "trials/s", "speedup", "hit rate"});
-  std::vector<RowResult> rows;
+  bench::BenchReport report("violation_search");
+  // One row in the table and the report; `enumerator` is set on
+  // exhaustive rows only.
+  auto add_row = [&](const std::string& workload, const char* mode,
+                     const char* enumerator, size_t ops, size_t conjuncts,
+                     size_t threads, bool cache, double ms, double speedup,
+                     const SearchOutcome& outcome) {
+    const double trials_per_s =
+        ms == 0 ? 0 : static_cast<double>(outcome.trials) / (ms / 1000.0);
+    const double hit_rate = outcome.solver_cache.hit_rate();
+    const bool reference =
+        enumerator != nullptr && std::strcmp(enumerator, "reference") == 0;
+    table.AddRow({workload, reference ? "exh-ref" : mode,
+                  StrCat(outcome.trials), StrCat(threads),
+                  cache ? "on" : "off", FormatDouble(ms, 2),
+                  FormatDouble(trials_per_s, 1),
+                  StrCat(FormatDouble(speedup, 2), "x"),
+                  FormatDouble(hit_rate, 3)});
+    bench::BenchRow& row =
+        report.AddRow().Key("workload", workload).Key("mode", mode);
+    if (enumerator != nullptr) row.Key("enumerator", enumerator);
+    row.Key("trials", outcome.trials)
+        .Key("threads", threads)
+        .Key("solver_cache", cache)
+        .Exact("ops", ops)
+        .Exact("conjuncts", conjuncts)
+        .Exact("checked", outcome.checked)
+        .Exact("violations", outcome.violations)
+        .Exact("truncated", outcome.truncated)
+        .Ratio("speedup_vs_sequential", speedup)
+        .Info("wall_ms", ms)
+        .Info("trials_per_s", bench::JsonValue(trials_per_s, 1))
+        .Info("cache_hit_rate", bench::JsonValue(hit_rate, 4))
+        .Info("cache_computes", outcome.solver_cache.computes);
+  };
   for (const BenchCase& bench_case : MakeCases(smoke)) {
     auto workload = MakePartitionedWorkload(bench_case.config);
     NSE_CHECK_MSG(workload.ok(), "%s",
@@ -233,7 +209,8 @@ int main(int argc, char** argv) {
       search.threads = config.threads;
       search.share_solver_cache = config.cache;
       SearchOutcome outcome;
-      double ms = MillisOf(*workload, search, seed, reps, outcome);
+      const double ms = bench::BestOfMs(
+          reps, [&] { outcome = MustSearch(*workload, search, seed); });
       if (config.threads == 1 && !config.cache) baseline_ms = ms;
       if (config.cache) {
         // Determinism contract: identical outcomes for every thread count.
@@ -246,30 +223,10 @@ int main(int argc, char** argv) {
         }
       }
 
-      RowResult row;
-      row.workload = bench_case.name;
-      row.ops = ops;
-      row.conjuncts = bench_case.config.num_partitions;
-      row.trials = bench_case.trials;
-      row.threads = config.threads;
-      row.cache = config.cache;
-      row.wall_ms = ms;
-      row.trials_per_s =
-          ms == 0 ? 0 : static_cast<double>(bench_case.trials) / (ms / 1000.0);
-      row.speedup = (baseline_ms == 0 || ms == 0) ? 1.0 : baseline_ms / ms;
-      row.cache_hit_rate = outcome.solver_cache.hit_rate();
-      row.cache_computes = outcome.solver_cache.computes;
-      row.checked = outcome.checked;
-      row.violations = outcome.violations;
-      row.truncated = outcome.truncated;
-      rows.push_back(row);
-
-      table.AddRow({row.workload, row.mode, StrCat(row.trials),
-                    StrCat(row.threads), row.cache ? "on" : "off",
-                    FormatDouble(row.wall_ms, 2),
-                    FormatDouble(row.trials_per_s, 1),
-                    StrCat(FormatDouble(row.speedup, 2), "x"),
-                    FormatDouble(row.cache_hit_rate, 3)});
+      add_row(bench_case.name, "randomized", nullptr, ops,
+              bench_case.config.num_partitions, config.threads, config.cache,
+              ms, (baseline_ms == 0 || ms == 0) ? 1.0 : baseline_ms / ms,
+              outcome);
     }
 
     // ---- exhaustive mode ------------------------------------------------
@@ -317,7 +274,8 @@ int main(int argc, char** argv) {
       search.share_solver_cache = config.cache;
       search.reference_enumerator = config.reference;
       SearchOutcome outcome;
-      double ms = ExhaustiveMillisOf(*workload, *states, search, reps, outcome);
+      const double ms = bench::BestOfMs(
+          reps, [&] { outcome = MustExhaustive(*workload, *states, search); });
       if (config.reference) exh_baseline_ms = ms;
       if (!have_exh_reference) {
         exh_reference = outcome;
@@ -327,34 +285,12 @@ int main(int argc, char** argv) {
                       "exhaustive outcome differs across configurations");
       }
 
-      RowResult row;
-      row.workload = bench_case.name;
-      row.mode = "exhaustive";
-      row.enumerator = config.reference ? "reference" : "incremental";
-      row.ops = ops;
-      row.conjuncts = bench_case.config.num_partitions;
-      row.trials = outcome.trials;
-      row.threads = config.threads;
-      row.cache = config.cache;
-      row.wall_ms = ms;
-      row.trials_per_s =
-          ms == 0 ? 0 : static_cast<double>(outcome.trials) / (ms / 1000.0);
-      row.speedup =
-          (exh_baseline_ms == 0 || ms == 0) ? 1.0 : exh_baseline_ms / ms;
-      row.cache_hit_rate = outcome.solver_cache.hit_rate();
-      row.cache_computes = outcome.solver_cache.computes;
-      row.checked = outcome.checked;
-      row.violations = outcome.violations;
-      row.truncated = outcome.truncated;
-      rows.push_back(row);
-
-      table.AddRow({row.workload,
-                    config.reference ? "exh-ref" : "exhaustive",
-                    StrCat(row.trials), StrCat(row.threads),
-                    row.cache ? "on" : "off", FormatDouble(row.wall_ms, 2),
-                    FormatDouble(row.trials_per_s, 1),
-                    StrCat(FormatDouble(row.speedup, 2), "x"),
-                    FormatDouble(row.cache_hit_rate, 3)});
+      add_row(bench_case.name, "exhaustive",
+              config.reference ? "reference" : "incremental", ops,
+              bench_case.config.num_partitions, config.threads, config.cache,
+              ms,
+              (exh_baseline_ms == 0 || ms == 0) ? 1.0 : exh_baseline_ms / ms,
+              outcome);
     }
   }
 
@@ -368,43 +304,5 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::cerr << "cannot write " << json_path << "\n";
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"violation_search\",\n  \"host_cores\": %zu,"
-               "\n  \"rows\": [\n",
-               host_cores);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RowResult& row = rows[i];
-    const std::string enum_field =
-        row.enumerator == nullptr
-            ? std::string()
-            : StrCat("\"enumerator\": \"", row.enumerator, "\", ");
-    std::fprintf(
-        json,
-        "    {\"workload\": \"%s\", \"mode\": \"%s\", %s\"ops\": %zu, "
-        "\"conjuncts\": %zu, "
-        "\"trials\": %llu, \"threads\": %zu, \"solver_cache\": %s, "
-        "\"wall_ms\": %.3f, \"trials_per_s\": %.1f, "
-        "\"speedup_vs_sequential\": %.3f, \"cache_hit_rate\": %.4f, "
-        "\"cache_computes\": %llu, "
-        "\"checked\": %llu, \"violations\": %llu, \"truncated\": %llu}%s\n",
-        row.workload.c_str(), row.mode, enum_field.c_str(), row.ops,
-        row.conjuncts,
-        static_cast<unsigned long long>(row.trials), row.threads,
-        row.cache ? "true" : "false", row.wall_ms, row.trials_per_s,
-        row.speedup, row.cache_hit_rate,
-        static_cast<unsigned long long>(row.cache_computes),
-        static_cast<unsigned long long>(row.checked),
-        static_cast<unsigned long long>(row.violations),
-        static_cast<unsigned long long>(row.truncated),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::cout << "baseline written to " << json_path << "\n";
-  return 0;
+  return report.Write(args.json_path) ? 0 : 1;
 }

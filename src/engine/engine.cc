@@ -119,11 +119,15 @@ enum class Detection {  // what a timed-out waiter's deadlock check found
   kNoCycle,    // the waiters form no cycle and none is condemned
 };
 
-/// Diffs the waiting registry into the persistent waits-for graph and, if
-/// it closed a cycle, condemns the largest transaction id in it (matching
-/// the simulator). Runs under try_lock: a second detection of the same
-/// stall adds nothing. A racy snapshot can at worst condemn a transaction
-/// whose cycle was already dissolving: one needless restart, never unsafe.
+/// Diffs the waiting registry into the persistent waits-for graph and
+/// breaks every cycle in it, condemning the largest transaction id of each
+/// recorded cycle (the simulator's choice) until the graph is acyclic.
+/// One victim per pass would not do: a lock upgrade blocked by k readers
+/// that each wait on the upgrader needs all k condemned before the first
+/// returns from its backoff, and a pass per victim costs a wait timeout.
+/// Runs under try_lock: a second detection of the same stall adds nothing.
+/// A racy snapshot can at worst condemn a transaction whose cycle was
+/// already dissolving: one needless restart, never unsafe.
 Detection TryDetectDeadlock(EngineShared& shared) {
   std::unique_lock<std::mutex> detect(shared.detect_mu, std::try_to_lock);
   if (!detect.owns_lock()) return Detection::kBusy;
@@ -157,11 +161,22 @@ Detection TryDetectDeadlock(EngineShared& shared) {
     shared.waits.SetWaits(static_cast<TxnId>(s + 1), blocker_slots);
   }
   if (!shared.waits.cycle().has_value()) return Detection::kNoCycle;
-  TxnId victim = 0;
-  for (TxnId node : *shared.waits.cycle()) {
-    victim = std::max(victim, waiting[node - 1].txn);
+  std::vector<TxnId> victims;
+  while (shared.waits.cycle().has_value()) {
+    TxnId victim_node = 0;
+    for (TxnId node : *shared.waits.cycle()) {
+      if (victim_node == 0 ||
+          waiting[node - 1].txn > waiting[victim_node - 1].txn) {
+        victim_node = node;
+      }
+    }
+    victims.push_back(waiting[victim_node - 1].txn);
+    // The victim will stop waiting: drop its node's edges, which re-detects
+    // any cycle the remaining waiters still form. The next pass re-diffs
+    // the registry, so the graph catches up with the victim's restart.
+    shared.waits.OnResolved(victim_node);
   }
-  DeliverCondemnations(shared, {victim}, kDeadlockVictim);
+  DeliverCondemnations(shared, victims, kDeadlockVictim);
   return Detection::kResolving;
 }
 

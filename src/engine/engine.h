@@ -9,7 +9,8 @@
 // injected crash). Blocked requests wait on the policy's WaitHub with a
 // bounded timeout; a timed-out waiter doubles as the deadlock detector,
 // diffing the waiting workers into a persistent WaitsForTracker and
-// condemning the largest id in a cycle, as the simulator does.
+// condemning the largest id of each cycle, as the simulator does, until
+// no cycle is left.
 
 #ifndef NSE_ENGINE_ENGINE_H_
 #define NSE_ENGINE_ENGINE_H_

@@ -367,6 +367,26 @@ TEST(EngineTest, ResolvesARealDeadlockUnderTwoThreads) {
   }
 }
 
+TEST(EngineTest, BreaksEveryCycleOfAnUpgradeDeadlock) {
+  // Nine copies of r0 w1 w0 on eight workers: the holder of item 1 waits
+  // to upgrade item 0 while up to seven readers of item 0 wait on item 1,
+  // one cycle per reader. Condemning one reader per detection pass lets
+  // the first back from its backoff re-take its shared lock before the
+  // last is condemned, a livelock that runs into the wall deadline; the
+  // detector must condemn them all in one pass.
+  const std::vector<TxnScript> scripts(9, Script({R(0), W(1), W(0)}));
+  for (int round = 0; round < 40; ++round) {
+    StrictTwoPhaseLocking policy;
+    EngineConfig config = FastEngineConfig(8);
+    config.max_wall_micros = 5'000'000;
+    auto result = RunEngine(policy, scripts, config);
+    ASSERT_TRUE(result.ok()) << "round " << round << ": " << result.status();
+    EXPECT_EQ(result->completed, scripts.size());
+    EXPECT_TRUE(IsConflictSerializable(result->schedule));
+    EXPECT_EQ(policy.held_locks(), 0u);
+  }
+}
+
 TEST(EngineTest, ExceedingWallDeadlineFails) {
   StrictTwoPhaseLocking policy;
   EngineConfig config = FastEngineConfig(1);

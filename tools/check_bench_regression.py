@@ -1,149 +1,107 @@
 #!/usr/bin/env python3
 """Bench regression guard: compare a fresh bench JSON against the committed
-baseline within a tolerance.
+baseline.
 
 Usage:
-    check_bench_regression.py BASELINE.json FRESH.json [--tolerance 2.0]
+    check_bench_regression.py BASELINE.json FRESH.json
 
-Rows are joined on their identity fields (every field that is not a
-measurement). Only *relative* measurements — the speedup fields — are
-guarded, because absolute wall times are incomparable across CI hardware;
-a fresh speedup may not fall below baseline/tolerance. Deterministic count
-fields (checked / violations / cycles_resolved) must match exactly: they
-are outputs of seeded runs, so a mismatch means the engine's determinism
-contract broke, not that the hardware was slow.
+Every row declares each field's guard class (bench/bench_report.h):
 
-Exit code 0 when everything holds, 1 on regression or determinism break.
-Stdlib only (runs on a bare CI image).
+    {"key": {...}, "exact": {...}, "ratio": {...}, "info": {...}}
+
+Rows are joined on `key`. `exact` fields are outputs of seeded runs and
+must match: a mismatch means a determinism contract broke, not that the
+hardware was slow. `ratio` fields are relative measurements and may not
+fall below baseline / 2.0, because absolute wall times are incomparable
+across hosts. `info` fields are never compared. A field that is exact or
+ratio on one side must carry the same class on the other, so a guard
+cannot be demoted or dropped silently.
+
+Exit code 0 when everything holds, 1 otherwise. Stdlib only (runs on a
+bare CI image).
 """
 
-import argparse
 import json
 import sys
 
-# Fields guarded as relative performance (fresh >= baseline / tolerance).
-# bench_sgt's "speedup" and bench_mvcc's "speedup_vs_2pl" are ratios of
-# simulated-tick throughputs, which are deterministic per seed — they pass
-# any tolerance unless the policy logic itself changes.
-SPEEDUP_FIELDS = ("speedup", "speedup_vs_sequential", "speedup_vs_2pl",
-                  "speedup_vs_batch")
-# Deterministic outputs of seeded runs: must match exactly. The per-policy
-# bench_sgt counters pin the policy zoo's structural invariants in CI:
-# aborts_ww must stay 0 (wound-wait deadlock freedom), restarts_to is TO's
-# whole cost, and the victim counters are the SGT-victim economics.
-EXACT_FIELDS = ("checked", "violations", "truncated", "cycles_resolved",
-                "conjuncts",
-                "completed", "aborts", "restarts", "vetoes",
-                "restarts_to", "aborts_ww", "wounds_ww",
-                "restarts_victim", "wounds_victim", "aborts_victim",
-                "restarts_victim_pred", "wounds_victim_pred",
-                "aborts_victim_pred",
-                # bench_sgt fault-injection rows: every fault / backoff /
-                # admission counter is a pure function of the seeds, so a
-                # drift means the chaos machinery changed behavior.
-                "completed_2pl", "crashes_2pl", "fault_aborts_2pl",
-                "boosts_2pl", "shed_2pl", "backoff_ticks_2pl",
-                "max_restarts_2pl",
-                "completed_to", "crashes_to", "fault_aborts_to",
-                "boosts_to", "shed_to", "backoff_ticks_to",
-                "max_restarts_to",
-                "completed_sgt", "crashes_sgt", "fault_aborts_sgt",
-                "boosts_sgt", "shed_sgt", "backoff_ticks_sgt",
-                "max_restarts_sgt",
-                # bench_mvcc outcome counters: deterministic tick-sim runs,
-                # with read_only_rollbacks doubling as the writers-never-
-                # block-readers pin — it must stay 0 on the mvto and
-                # snapshot-isolation rows of every mix.
-                "rollbacks", "read_only_rollbacks",
-                # bench_streaming: the lane stream is a pure function of
-                # the seed, so every counter is exact — peak_retained is
-                # the windowed checker's memory contract (≈ window + lanes
-                # on a log hundreds of thousands of transactions long) and
-                # must not drift.
-                "events", "ops", "commits", "evictions", "rebuilds",
-                "peak_retained", "aborted_reads")
-# Measurements (never part of the row identity). cache_computes is
-# deterministic single-threaded but depends on request-coalescing timing
-# across workers, so it is reported, not guarded.
-MEASUREMENT_FIELDS = set(SPEEDUP_FIELDS) | set(EXACT_FIELDS) | {
-    "wall_ms", "trials_per_s", "txns_per_s", "ops_per_s", "batch_ms",
-    "cache_hit_rate",
-    "cache_computes", "makespan",
-    "legacy_ms",
-    "incremental_ms", "legacy_per_tick_us", "incremental_per_tick_us",
-    "edge_updates", "makespan_2pl", "makespan_pw2pl", "makespan_sgt",
-    "makespan_ww", "makespan_to", "makespan_victim", "makespan_victim_pred",
-    "wait_ticks_2pl", "wait_ticks_sgt", "throughput_2pl",
-    "throughput_pw2pl", "throughput_sgt", "throughput_ww",
-    "throughput_to", "throughput_victim", "throughput_victim_pred",
-}
+TOLERANCE = 2.0
+CLASSES = ("key", "exact", "ratio", "info")
+GUARDED = ("exact", "ratio")
 
 
-def row_identity(row):
-    return tuple(sorted(
-        (k, v) for k, v in row.items() if k not in MEASUREMENT_FIELDS))
+def load_rows(report, side, failures):
+    """Maps each row's canonical key to its {field: (class, value)}."""
+    rows = {}
+    for row in report.get("rows", []):
+        key = json.dumps(row.get("key", {}), sort_keys=True)
+        if key in rows:
+            failures.append(f"duplicate row key in {side}: {key}")
+        fields = {}
+        for cls in CLASSES:
+            for name, value in row.get(cls, {}).items():
+                fields[name] = (cls, value)
+        rows[key] = fields
+    return rows
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("fresh")
-    parser.add_argument("--tolerance", type=float, default=2.0,
-                        help="allowed slowdown factor on speedup fields")
-    args = parser.parse_args()
-
-    with open(args.baseline) as f:
-        baseline = json.load(f)
-    with open(args.fresh) as f:
-        fresh = json.load(f)
-
-    if baseline.get("bench") != fresh.get("bench"):
-        print(f"FAIL: bench name mismatch: baseline "
-              f"{baseline.get('bench')!r} vs fresh {fresh.get('bench')!r}")
-        return 1
-
-    fresh_rows = {row_identity(r): r for r in fresh.get("rows", [])}
+def compare(baseline, fresh):
+    """Returns (failures, guarded field count) for one report pair."""
     failures = []
-    compared = 0
-    for base_row in baseline.get("rows", []):
-        identity = row_identity(base_row)
-        label = ", ".join(f"{k}={v}" for k, v in identity)
-        fresh_row = fresh_rows.get(identity)
-        if fresh_row is None:
-            failures.append(f"row missing from fresh run: {label}")
+    if baseline.get("bench") != fresh.get("bench"):
+        return [f"bench name mismatch: baseline {baseline.get('bench')!r} "
+                f"vs fresh {fresh.get('bench')!r}"], 0
+    base_rows = load_rows(baseline, "baseline", failures)
+    fresh_rows = load_rows(fresh, "fresh run", failures)
+    guarded = 0
+    for key, base in base_rows.items():
+        got = fresh_rows.get(key)
+        if got is None:
+            failures.append(f"row missing from fresh run: {key}")
             continue
-        for field in SPEEDUP_FIELDS:
-            if field not in base_row:
+        for name in sorted(set(base) | set(got)):
+            base_cls, base_value = base.get(name, ("absent", None))
+            got_cls, got_value = got.get(name, ("absent", None))
+            if base_cls not in GUARDED and got_cls not in GUARDED:
                 continue
-            floor = base_row[field] / args.tolerance
-            got = fresh_row.get(field, 0.0)
-            compared += 1
-            status = "ok" if got >= floor else "REGRESSION"
-            print(f"[{status}] {label}: {field} baseline "
-                  f"{base_row[field]:.3f}, floor {floor:.3f}, "
-                  f"fresh {got:.3f}")
-            if got < floor:
-                failures.append(
-                    f"{label}: {field} {got:.3f} < floor {floor:.3f}")
-        for field in EXACT_FIELDS:
-            if field not in base_row:
+            if base_cls != got_cls:
+                failures.append(f"{key}: {name} is {base_cls} in baseline "
+                                f"but {got_cls} in fresh run")
                 continue
-            if fresh_row.get(field) != base_row[field]:
-                failures.append(
-                    f"{label}: {field} changed {base_row[field]} -> "
-                    f"{fresh_row.get(field)} (determinism break)")
+            guarded += 1
+            if base_cls == "exact" and got_value != base_value:
+                failures.append(f"{key}: {name} changed {base_value} -> "
+                                f"{got_value} (determinism break)")
+            elif base_cls == "ratio":
+                floor = base_value / TOLERANCE
+                status = "ok" if got_value >= floor else "REGRESSION"
+                print(f"[{status}] {key}: {name} baseline {base_value:.3f}, "
+                      f"floor {floor:.3f}, fresh {got_value:.3f}")
+                if got_value < floor:
+                    failures.append(f"{key}: {name} {got_value:.3f} < floor "
+                                    f"{floor:.3f}")
+    if guarded == 0:
+        failures.append("no exact or ratio fields compared — baseline empty?")
+    return failures, guarded
 
-    if compared == 0:
-        failures.append("no speedup fields compared — baseline empty?")
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__)
+        return 2
+    with open(argv[1]) as f:
+        baseline = json.load(f)
+    with open(argv[2]) as f:
+        fresh = json.load(f)
+    failures, guarded = compare(baseline, fresh)
     if failures:
         print(f"\nFAIL ({len(failures)} problem(s)):")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"\nOK: {compared} speedup field(s) within {args.tolerance}x "
-          f"of baseline, determinism fields exact")
+    print(f"\nOK: {guarded} guarded field(s): exact fields match, ratio "
+          f"fields within {TOLERANCE}x of baseline")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))

@@ -11,8 +11,12 @@
 // any plane, or a committed dirty read), 2 = unreadable/malformed input.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +32,21 @@ namespace {
 int Usage() {
   std::cerr << "usage: nse_check [--window N] [--plane a,b]... FILE.jsonl\n";
   return 2;
+}
+
+/// Parses all of `text` as an unsigned decimal: no sign, no trailing
+/// characters, no overflow.
+bool ParseWindow(const char* text, size_t* window) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || *end != '\0' ||
+      value > std::numeric_limits<size_t>::max()) {
+    return false;
+  }
+  *window = static_cast<size_t>(value);
+  return true;
 }
 
 /// "a,b,c" → DataSet over the history's catalog.
@@ -50,7 +69,11 @@ bool ParsePlane(const Database& db, const std::string& spec, DataSet* plane) {
       return false;
     }
   }
-  return !plane->empty();
+  if (plane->empty()) {
+    std::cerr << "nse_check: empty plane '" << spec << "'\n";
+    return false;
+  }
+  return true;
 }
 
 std::string DescribeViolation(const StreamingViolation& v) {
@@ -84,7 +107,7 @@ int Run(int argc, char** argv) {
   std::string path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--window") == 0 && i + 1 < argc) {
-      window = static_cast<size_t>(std::stoull(argv[++i]));
+      if (!ParseWindow(argv[++i], &window)) return Usage();
     } else if (std::strcmp(argv[i], "--plane") == 0 && i + 1 < argc) {
       plane_specs.push_back(argv[++i]);
     } else if (argv[i][0] == '-') {
