@@ -15,8 +15,9 @@
 //    legacy topo cache, so every query pays O(V+E); the online order pays
 //    O(affected region) once at insert).
 //  * dense build — ConflictGraph::Build's bitset sweep vs the reference
-//    vector sweep (BuildReference) on a many-txns/few-items schedule, with
-//    a bit-identical-graph differential check before timing.
+//    vector sweep (oracles::BuildReference, tests/oracles) on a
+//    many-txns/few-items schedule, with a bit-identical-graph differential
+//    check before timing.
 //
 // Both modes run the same deterministic edge stream (seeded Rng); the
 // incremental verdicts are NSE_CHECKed against the batch DFS reference on
@@ -36,6 +37,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "oracles/oracles.h"
 #include "scheduler/metrics.h"
 #include "scheduler/waits_for.h"
 
@@ -323,7 +325,7 @@ int main(int argc, char** argv) {
     // bit-identical graph (same edges in the same order).
     {
       ConflictGraph dense = ConflictGraph::Build(schedule);
-      ConflictGraph reference = ConflictGraph::BuildReference(schedule);
+      ConflictGraph reference = oracles::BuildReference(schedule);
       NSE_CHECK_MSG(dense.Edges() == reference.Edges(),
                     "dense build diverged from the reference sweep");
       NSE_CHECK_MSG(dense.ToString() == reference.ToString(),
@@ -332,7 +334,7 @@ int main(int argc, char** argv) {
 
     double reference_ms = BestOf(reps, [&] {
       auto start = std::chrono::steady_clock::now();
-      ConflictGraph g = ConflictGraph::BuildReference(schedule);
+      ConflictGraph g = oracles::BuildReference(schedule);
       auto end = std::chrono::steady_clock::now();
       NSE_CHECK(g.num_edges() > 0);
       return std::chrono::duration<double, std::milli>(end - start).count();

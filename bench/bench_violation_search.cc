@@ -18,11 +18,11 @@
 // enumerated consistent initial states. Exhaustive verdicts are independent
 // of the thread count, the cache, and the enumerator (nothing is sampled),
 // so every exhaustive row — including the sequential baseline — must agree
-// on every count. The baseline row is the pre-engine configuration
-// (replay-per-node reference enumerator, one thread, no cache); the
-// speedups of the other rows are dominated by the incremental step/undo
-// enumerator, with the shared pre-warmed SolverCache and worker threads
-// composing on top on multi-core hosts.
+// on every count. The baseline row is oracles::ReferenceExhaustiveSearch
+// (tests/oracles): one thread, no cache, one root enumeration per state by
+// the replay-per-node reference enumerator; the speedups of the other rows
+// are dominated by the incremental step/undo enumerator, with the shared
+// SolverCache and worker threads composing on top on multi-core hosts.
 //
 // Emits a fixed-width table on stdout and a JSON baseline (default
 // BENCH_violation_search.json, override with the last argument). The JSON
@@ -42,6 +42,7 @@
 #include "bench_report.h"
 #include "common/logging.h"
 #include "nse/nse.h"
+#include "oracles/oracles.h"
 #include "scheduler/metrics.h"
 
 namespace nse {
@@ -120,13 +121,21 @@ bool SameCounts(const SearchOutcome& a, const SearchOutcome& b) {
          a.first_violation_trial == b.first_violation_trial;
 }
 
+/// The exhaustive engine under `config`, or the sequential reference
+/// search over the same budget when `reference` is set.
 SearchOutcome MustExhaustive(const Workload& workload,
                              const std::vector<DbState>& states,
-                             const ExhaustiveSearchConfig& config) {
+                             const ExhaustiveSearchConfig& config,
+                             bool reference) {
   HypothesisFilter filter;  // no filter: every enumerated execution checked
-  auto outcome = ExhaustiveViolationSearch(workload.db, *workload.ic,
-                                           workload.ProgramPtrs(), states,
-                                           filter, config);
+  auto outcome =
+      reference
+          ? oracles::ReferenceExhaustiveSearch(
+                workload.db, *workload.ic, workload.ProgramPtrs(), states,
+                filter, config.interleaving_limit, config.stop_at_first)
+          : ExhaustiveViolationSearch(workload.db, *workload.ic,
+                                      workload.ProgramPtrs(), states, filter,
+                                      config);
   NSE_CHECK_MSG(outcome.ok(), "%s", outcome.status().ToString().c_str());
   return std::move(outcome).value();
 }
@@ -234,11 +243,11 @@ int main(int argc, char** argv) {
     // stream whatever the thread count, cache setting, or enumerator
     // (nothing is sampled), so EVERY exhaustive row must agree on every
     // count — including the sequential baseline the speedups are measured
-    // against. That baseline is the pre-engine configuration: one thread,
-    // no cache, and the replay-per-node reference enumerator. The win of
-    // the other rows is dominated by the incremental step/undo enumerator
-    // (one program step per tree edge instead of an O(depth) prefix replay
-    // per node); the shared pre-warmed SolverCache and extra workers
+    // against. That baseline is the sequential reference search: one
+    // thread, no cache, and the replay-per-node reference enumerator. The
+    // win of the other rows is dominated by the incremental step/undo
+    // enumerator (one program step per tree edge instead of an O(depth)
+    // prefix replay per node); the shared SolverCache and extra workers
     // compose with it on multi-core hosts.
     const uint64_t limit = smoke
                                ? 4
@@ -272,10 +281,10 @@ int main(int argc, char** argv) {
       search.interleaving_limit = limit;
       search.threads = config.threads;
       search.share_solver_cache = config.cache;
-      search.reference_enumerator = config.reference;
       SearchOutcome outcome;
-      const double ms = bench::BestOfMs(
-          reps, [&] { outcome = MustExhaustive(*workload, *states, search); });
+      const double ms = bench::BestOfMs(reps, [&] {
+        outcome = MustExhaustive(*workload, *states, search, config.reference);
+      });
       if (config.reference) exh_baseline_ms = ms;
       if (!have_exh_reference) {
         exh_reference = outcome;

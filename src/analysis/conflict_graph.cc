@@ -169,7 +169,7 @@ ConflictGraph ConflictGraph::Build(const Schedule& schedule, CycleMode mode) {
   // sees no duplicate inserts at all and hot items cost word scans instead
   // of history walks. Emission order equals the reference sweep's
   // successful-insert order (see ConflictBitSweep), so the result is
-  // bit-identical to BuildReference.
+  // bit-identical to the reference build.
   ConflictGraph graph(schedule.txn_ids(), mode);
   const std::vector<TxnId>& txn_ids = schedule.txn_ids();
   internal::ConflictBitSweep sweep(static_cast<uint32_t>(txn_ids.size()),
@@ -185,20 +185,6 @@ ConflictGraph ConflictGraph::Build(const Schedule& schedule, CycleMode mode) {
                    graph.AddEdgeByIndexAt(from, idx, i);
                  });
   }
-  return graph;
-}
-
-ConflictGraph ConflictGraph::BuildReference(const Schedule& schedule,
-                                            CycleMode mode) {
-  // One shared sweep (SweepConflicts) over per-item access histories:
-  // AddEdgeByIndex dedupes the candidate pairs, so total work is
-  // O(ops · txns-per-item) instead of O(ops²).
-  ConflictGraph graph(schedule.txn_ids(), mode);
-  internal::SweepConflicts(
-      schedule, [](size_t, uint32_t) {},
-      [&graph](uint32_t from, uint32_t to, size_t pos) {
-        graph.AddEdgeByIndexAt(from, to, pos);
-      });
   return graph;
 }
 

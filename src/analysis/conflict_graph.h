@@ -132,15 +132,11 @@ class ConflictGraph {
   /// Builds the graph from `schedule`. In incremental mode the first
   /// cycle-closing edge additionally records the schedule position of the
   /// operation that created it (cycle_op_pos). Uses the dense bitset sweep
-  /// (ConflictBitSweep); bit-identical to BuildReference by construction
-  /// and pinned so by the fuzz differential.
+  /// (ConflictBitSweep); bit-identical by construction to the vector-scan
+  /// reference builder in tests/oracles, and pinned so by the fuzz
+  /// differential.
   static ConflictGraph Build(const Schedule& schedule,
                              CycleMode mode = CycleMode::kBatch);
-
-  /// The reference build over the vector-scan sweep (SweepConflicts). Kept
-  /// as the cross-check oracle for Build and the bench baseline.
-  static ConflictGraph BuildReference(const Schedule& schedule,
-                                      CycleMode mode = CycleMode::kBatch);
 
   /// Transactions (nodes), ascending by id.
   const std::vector<TxnId>& nodes() const { return nodes_; }
@@ -299,13 +295,14 @@ class ConflictGraph {
   mutable std::optional<std::vector<TxnId>> topo_;
 };
 
-/// Per-item access histories with streaming conflict-edge derivation — the
-/// single statement of the paper's conflict rule (same item, distinct
-/// transactions, at least one write) shared by the batch analysis sweep
-/// (internal::SweepConflicts, hence ConflictGraph::Build and the
-/// AnalysisContext fused core build) and the SGT policy's online veto
-/// check. Accessors are caller-chosen uint32_t handles: txn indices into
-/// schedule.txn_ids() for the sweep, raw txn ids for the scheduler.
+/// Per-item access histories with streaming conflict-edge derivation: the
+/// paper's conflict rule (same item, distinct transactions, at least one
+/// write) for consumers that must also *retract* accesses — the SGT
+/// policy's online veto check and the streaming checker's per-plane
+/// histories. Batch builds (ConflictGraph::Build, the AnalysisContext fused
+/// core build) never retract and use the dense ConflictBitSweep instead.
+/// Accessors are caller-chosen uint32_t handles (raw txn ids for the
+/// scheduler, slots for the streaming checker).
 class ConflictAccessIndex {
  public:
   /// Calls emit(prior) for every distinct prior accessor whose recorded
@@ -354,35 +351,6 @@ class ConflictAccessIndex {
 
 namespace internal {
 
-/// The single implementation of the per-item conflict sweep shared by
-/// ConflictGraph::Build and the AnalysisContext fused core build. Walks the
-/// schedule once, feeding each operation through a ConflictAccessIndex
-/// keyed by txn indices into schedule.txn_ids(), and calls:
-///
-///   on_op(op_pos, txn_index)        for every operation, in order;
-///   emit(from_index, to_index, op_pos)
-///       for every candidate conflict pair — a write conflicts with every
-///       earlier accessor of its item, a read with every earlier writer.
-///
-/// Candidate pairs repeat across positions; deduplication is the caller's
-/// job (AddEdgeByIndex, or a seen-bitset for bulk builds).
-template <typename OnOpFn, typename EmitFn>
-void SweepConflicts(const Schedule& schedule, OnOpFn on_op, EmitFn emit) {
-  const std::vector<TxnId>& txn_ids = schedule.txn_ids();
-  ConflictAccessIndex index;
-  const OpSequence& ops = schedule.ops();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const Operation& op = ops[i];
-    const uint32_t idx = static_cast<uint32_t>(
-        std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
-        txn_ids.begin());
-    on_op(i, idx);
-    index.ForEachConflict(idx, op.is_write(), op.entity,
-                          [&](uint32_t from) { emit(from, idx, i); });
-    index.Record(idx, op.is_write(), op.entity);
-  }
-}
-
 /// Dense fast path for the per-item conflict sweep: per-item reader/writer
 /// bitsets over txn indices plus per-plane already-emitted bitsets (64-bit
 /// word blocks). An access whose conflicts were all emitted before — the
@@ -397,8 +365,9 @@ void SweepConflicts(const Schedule& schedule, OnOpFn on_op, EmitFn emit) {
 /// readers — which keeps dense-built graphs bit-identical to
 /// reference-built ones, recorded cycle witnesses included. Planes let one
 /// sweep feed several consumers (the full graph and each conjunct
-/// projection) with independent dedupe. Cross-checked against
-/// SweepConflicts by the fuzz differential.
+/// projection) with independent dedupe. Cross-checked against the
+/// vector-scan reference builder in tests/oracles by the fuzz
+/// differential.
 class ConflictBitSweep {
  public:
   ConflictBitSweep(uint32_t num_txns, size_t num_planes)

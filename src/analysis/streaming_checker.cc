@@ -353,7 +353,7 @@ StreamingPlaneReport StreamingChecker::FinishPlane(Plane& plane) {
     graph.AddEdgeByIndexAt(index_of(edge.from), index_of(edge.to), edge.event);
   }
   NSE_CHECK(graph.has_cycle());
-  StreamingViolation violation;
+  HistoryViolation violation;
   violation.edge = *graph.cycle_edge();
   violation.event = *graph.cycle_op_pos();
   violation.cycle = *graph.cycle();

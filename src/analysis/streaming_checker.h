@@ -60,7 +60,6 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "analysis/conflict_graph.h"
@@ -81,22 +80,10 @@ struct StreamingOptions {
   std::vector<DataSet> planes;
 };
 
-/// One serializability violation, in log coordinates (identical layout to
-/// the batch plane's BatchViolation — the differential compares them
-/// field by field).
-struct StreamingViolation {
-  /// The conflict edge whose creation closed the first cycle.
-  std::pair<TxnId, TxnId> edge;
-  /// Log event index of the operation that created that edge.
-  size_t event = 0;
-  /// Cycle witness (txn ids, first == last).
-  std::vector<TxnId> cycle;
-};
-
 /// Final verdict of one plane.
 struct StreamingPlaneReport {
   bool ok = true;
-  std::optional<StreamingViolation> violation;
+  std::optional<HistoryViolation> violation;
   /// Event index at which the verdict latched online (the commit that
   /// completed the first committed-only cycle) — diagnostic; the witness
   /// above is the batch-identical one.

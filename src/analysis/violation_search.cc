@@ -14,38 +14,83 @@ namespace {
 
 constexpr uint64_t kNoTrial = std::numeric_limits<uint64_t>::max();
 
-/// True iff the execution's schedule satisfies the per-schedule filters.
-/// Drives every filter through the execution's shared context, so the
-/// artifacts each hypothesis needs (projections, reads-from, DAG) are built
-/// once per sampled execution, not once per hypothesis.
-bool PassesScheduleFilter(AnalysisContext& ctx, const HypothesisFilter& filter) {
-  if (filter.require_pwsr && !ctx.pwsr_report().is_pwsr) return false;
-  if (filter.require_delayed_read && !ctx.delayed_read()) return false;
-  if (filter.require_dag_acyclic && !ctx.access_graph().IsAcyclic()) {
-    return false;
-  }
-  return true;
-}
+/// Trials a randomized worker claims per dispenser round-trip (tradeoff:
+/// dispatch overhead vs. tail imbalance). Outcomes never depend on it.
+constexpr uint64_t kTrialBatch = 16;
 
-/// What one randomized trial amounted to. Stored per global trial index so
+/// What one execution amounted to. Stored per trial / enumeration index so
 /// the merge step can reconstruct exactly the prefix a sequential run would
-/// have produced, regardless of which worker ran which trial.
+/// have produced, regardless of which worker ran which execution.
 enum class TrialCode : uint8_t {
-  kUnprocessed = 0,  ///< skipped (cancelled past the decisive trial)
+  kUnprocessed = 0,  ///< skipped: past the decisive execution or budget
   kFiltered,         ///< failed the hypothesis filter / invalid replay
   kCheckedOk,        ///< checked, strongly correct
   kViolation,        ///< checked, Definition 1 violated
-  kError,            ///< a Status failure inside the trial
+  kError,            ///< a Status failure inside the execution
 };
 
-/// Per-worker accumulation. Workers claim batches of increasing trial
-/// indices, so the first violation / error a worker records is its minimum.
-struct WorkerState {
-  std::optional<Counterexample> best_cex;
-  uint64_t best_cex_trial = kNoTrial;
-  Status error = Status::Ok();
-  uint64_t error_trial = kNoTrial;
+/// What every execution of one search shares.
+struct SearchScope {
+  const Database& db;
+  const IntegrityConstraint& ic;
+  const std::vector<const TransactionProgram*>& programs;
+  const HypothesisFilter& filter;
+  SolverCache* cache;  ///< shared by all workers; nullptr when disabled
 };
+
+/// Fixed structure is a property of the programs, not of an execution, so
+/// it is checked once per search: false iff `filter` requires it and some
+/// program lacks it.
+bool MeetsStructureRequirement(
+    const Database& db, const std::vector<const TransactionProgram*>& programs,
+    const HypothesisFilter& filter) {
+  if (!filter.require_fixed_structure) return true;
+  return std::all_of(programs.begin(), programs.end(),
+                     [&db](const TransactionProgram* program) {
+                       StructureAnalysis s = AnalyzeStructure(db, *program);
+                       return s.valid && s.fixed;
+                     });
+}
+
+size_t WorkerCount(size_t requested) {
+  return requested == 0 ? ThreadPool::DefaultNumThreads() : requested;
+}
+
+/// Runs worker(w) for every w < workers: inline on the calling thread when
+/// there is a single worker (no pool), else on a fresh ThreadPool.
+template <typename WorkerFn>
+void FanOut(size_t workers, const WorkerFn& worker) {
+  if (workers == 1) {
+    worker(0);
+    return;
+  }
+  ThreadPool pool(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    pool.Submit([&worker, w] { worker(w); });
+  }
+  pool.Wait();
+}
+
+/// Counts one merged execution into `outcome`. Errors are decisive and the
+/// merges return them before tallying; unprocessed codes never reach here.
+void Tally(TrialCode code, SearchOutcome& outcome) {
+  ++outcome.trials;
+  switch (code) {
+    case TrialCode::kFiltered:
+      ++outcome.filtered_out;
+      break;
+    case TrialCode::kViolation:
+      ++outcome.violations;
+      ++outcome.checked;
+      break;
+    case TrialCode::kCheckedOk:
+      ++outcome.checked;
+      break;
+    case TrialCode::kUnprocessed:
+    case TrialCode::kError:
+      NSE_CHECK_MSG(false, "unprocessed or failed execution in the tally");
+  }
+}
 
 /// Monotone min-update of `target`.
 void AtomicMin(std::atomic<uint64_t>& target, uint64_t value) {
@@ -56,42 +101,53 @@ void AtomicMin(std::atomic<uint64_t>& target, uint64_t value) {
   }
 }
 
-/// Runs trial `t` start to finish against its private RNG stream. When the
-/// trial violates and `want_cex` is set, `cex` receives the reproducible
-/// counterexample; on kError, `error` holds the status.
-TrialCode RunOneTrial(const Database& db, const IntegrityConstraint& ic,
-                      const std::vector<const TransactionProgram*>& programs,
-                      const HypothesisFilter& filter,
-                      const ConsistencyChecker& checker, SolverCache* cache,
-                      Rng rng, bool want_cex,
-                      std::optional<Counterexample>& cex, Status& error) {
-  auto initial_or = checker.SampleConsistentState(rng);
-  if (!initial_or.ok()) {
-    error = initial_or.status();
-    return TrialCode::kError;
+/// The per-execution core of both engines. One memoized context per
+/// execution (sharing the search-wide solver cache) drives every filter, so
+/// the artifacts each hypothesis needs (projections, reads-from, DAG) are
+/// built once per execution, not once per hypothesis; survivors are checked
+/// against Definition 1. On a violation, a non-null `cex` receives the
+/// reproducible counterexample.
+Result<TrialCode> ClassifyExecution(const SearchScope& scope,
+                                    const ConsistencyChecker& checker,
+                                    const DbState& initial,
+                                    const std::vector<size_t>& choices,
+                                    const Schedule& schedule,
+                                    std::optional<Counterexample>* cex) {
+  AnalysisOptions options;
+  options.solver_cache = scope.cache;
+  AnalysisContext ctx(scope.db, scope.ic, schedule, options);
+  const HypothesisFilter& filter = scope.filter;
+  if ((filter.require_pwsr && !ctx.pwsr_report().is_pwsr) ||
+      (filter.require_delayed_read && !ctx.delayed_read()) ||
+      (filter.require_dag_acyclic && !ctx.access_graph().IsAcyclic())) {
+    return TrialCode::kFiltered;
   }
-  DbState initial = std::move(initial_or).value();
+  NSE_ASSIGN_OR_RETURN(StrongCorrectnessReport report,
+                       CheckExecution(checker, schedule, initial));
+  if (report.strongly_correct) return TrialCode::kCheckedOk;
+  if (cex != nullptr) {
+    *cex = Counterexample{initial, choices, schedule, std::move(report)};
+  }
+  return TrialCode::kViolation;
+}
+
+/// Runs one randomized trial start to finish against its private RNG
+/// stream: a sampled consistent state, a sampled interleaving, and the
+/// shared classification.
+Result<TrialCode> RunOneTrial(const SearchScope& scope,
+                              const ConsistencyChecker& checker, Rng rng,
+                              std::optional<Counterexample>* cex) {
+  NSE_ASSIGN_OR_RETURN(DbState initial, checker.SampleConsistentState(rng));
   // Mix exploration styles: uniformly random interleavings cover the
   // whole space, near-serial ones populate the PWSR/DR regimes the
   // filters select for (see NearSerialChoices).
-  std::vector<size_t> choices;
-  if (rng.NextBool(0.5)) {
-    auto choices_or = RandomChoices(db, programs, initial, rng);
-    if (!choices_or.ok()) {
-      error = choices_or.status();
-      return TrialCode::kError;
-    }
-    choices = std::move(choices_or).value();
-  } else {
-    size_t swaps = rng.NextBelow(2 * programs.size() + 6);
-    auto choices_or = NearSerialChoices(db, programs, initial, rng, swaps);
-    if (!choices_or.ok()) {
-      error = choices_or.status();
-      return TrialCode::kError;
-    }
-    choices = std::move(choices_or).value();
-  }
-  auto run = Interleave(db, programs, initial, choices);
+  NSE_ASSIGN_OR_RETURN(
+      std::vector<size_t> choices,
+      rng.NextBool(0.5)
+          ? RandomChoices(scope.db, scope.programs, initial, rng)
+          : NearSerialChoices(scope.db, scope.programs, initial, rng,
+                              rng.NextBelow(2 * scope.programs.size() + 6)));
+  auto run = Interleave(scope.db, scope.programs, initial, choices);
   if (!run.ok()) {
     // A swapped near-serial sequence can become invalid when program
     // lengths are interleaving-dependent; discard the sample.
@@ -99,36 +155,29 @@ TrialCode RunOneTrial(const Database& db, const IntegrityConstraint& ic,
         run.status().code() == StatusCode::kFailedPrecondition) {
       return TrialCode::kFiltered;
     }
-    error = run.status();
-    return TrialCode::kError;
+    return run.status();
   }
-  // One memoized context per sampled execution, sharing the search-wide
-  // solver cache.
-  AnalysisOptions options;
-  options.solver_cache = cache;
-  AnalysisContext ctx(db, ic, run->schedule, options);
-  if (!PassesScheduleFilter(ctx, filter)) return TrialCode::kFiltered;
-  auto report_or = CheckExecution(checker, run->schedule, initial);
-  if (!report_or.ok()) {
-    error = report_or.status();
-    return TrialCode::kError;
-  }
-  if (report_or->strongly_correct) return TrialCode::kCheckedOk;
-  if (want_cex) {
-    cex = Counterexample{std::move(initial), std::move(choices),
-                         std::move(run->schedule),
-                         std::move(report_or).value()};
-  }
-  return TrialCode::kViolation;
+  return ClassifyExecution(scope, checker, initial, choices, run->schedule,
+                           cex);
 }
+
+/// Per-worker accumulation on the randomized path. Workers claim batches of
+/// increasing trial indices, so the first violation / error a worker
+/// records is its minimum.
+struct WorkerState {
+  std::optional<Counterexample> best_cex;
+  uint64_t best_cex_trial = kNoTrial;
+  Status error = Status::Ok();
+  uint64_t error_trial = kNoTrial;
+};
 
 /// One unit of exhaustive work: the subtree of complete interleavings of
 /// `initial_states[state]` under a fixed top-level choice (or the whole
 /// tree, with an empty prefix, when every program is already finished).
-/// Units inherit the canonical order: states in order, prefixes ascending.
+/// Units inherit the canonical order: states in order, prefixes ascending;
+/// a unit's slot is its position among its state's units.
 struct ExhaustiveUnit {
   size_t state = 0;
-  size_t slot = 0;  ///< position among the state's units (0 = first choice)
   std::vector<size_t> prefix;
 };
 
@@ -142,7 +191,6 @@ struct ExhaustiveUnitResult {
   uint64_t cex_index = kNoTrial;      ///< its index within `codes`
   Status trial_error = Status::Ok();  ///< the status behind a kError code
   Status enum_error = Status::Ok();   ///< enumeration failed after `codes`
-  bool enum_failed = false;
   bool truncated = false;  ///< the unit alone exceeded the visit budget
   bool ran = false;
 };
@@ -154,22 +202,12 @@ Result<SearchOutcome> SearchForViolations(
     const std::vector<const TransactionProgram*>& programs,
     const HypothesisFilter& filter, Rng& rng, const SearchConfig& config) {
   SearchOutcome outcome;
-
-  if (filter.require_fixed_structure) {
-    for (const TransactionProgram* program : programs) {
-      StructureAnalysis analysis = AnalyzeStructure(db, *program);
-      if (!analysis.valid || !analysis.fixed) {
-        outcome.trials = config.trials;
-        outcome.filtered_out = config.trials;
-        return outcome;
-      }
-    }
+  if (!MeetsStructureRequirement(db, programs, filter)) {
+    outcome.trials = config.trials;
+    outcome.filtered_out = config.trials;
+    return outcome;
   }
   if (config.trials == 0) return outcome;
-
-  const size_t threads =
-      config.threads == 0 ? ThreadPool::DefaultNumThreads() : config.threads;
-  const uint64_t batch = config.batch_size == 0 ? 1 : config.batch_size;
 
   // Determinism backbone: trial t draws from Split(t) of one master
   // generator, so a trial's outcome is a pure function of (seed, t) — never
@@ -177,11 +215,12 @@ Result<SearchOutcome> SearchForViolations(
   const Rng master = rng.Fork();
 
   SolverCache cache;
-  SolverCache* cache_ptr = config.share_solver_cache ? &cache : nullptr;
-  if (cache_ptr != nullptr) {
+  const SearchScope scope{db, ic, programs, filter,
+                          config.share_solver_cache ? &cache : nullptr};
+  if (scope.cache != nullptr) {
     // One-time sampling-domain enumerations, done before fan-out so cold
     // workers don't all recompute them.
-    ConsistencyChecker(db, ic, cache_ptr).WarmSamplingDomains();
+    ConsistencyChecker(db, ic, scope.cache).WarmSamplingDomains();
   }
 
   std::vector<TrialCode> codes(config.trials, TrialCode::kUnprocessed);
@@ -190,90 +229,54 @@ Result<SearchOutcome> SearchForViolations(
   // violating index under stop_at_first, and to the smallest erroring index
   // always (work past a decisive trial cannot change the result).
   std::atomic<uint64_t> cancel_after{kNoTrial};
-  std::vector<WorkerState> workers(threads);
+  std::vector<WorkerState> workers(WorkerCount(config.threads));
 
-  auto worker_fn = [&](size_t w) {
+  FanOut(workers.size(), [&](size_t w) {
     // Each worker owns its checker (solver stats are checker-local); all
     // checkers share the one cache.
-    ConsistencyChecker checker(db, ic, cache_ptr);
+    ConsistencyChecker checker(db, ic, scope.cache);
     WorkerState& ws = workers[w];
     while (true) {
-      const uint64_t start = next_trial.fetch_add(batch);
+      const uint64_t start = next_trial.fetch_add(kTrialBatch);
       if (start >= config.trials) break;
-      const uint64_t end = std::min(start + batch, config.trials);
+      const uint64_t end = std::min(start + kTrialBatch, config.trials);
       for (uint64_t t = start; t < end; ++t) {
         if (t > cancel_after.load(std::memory_order_relaxed)) continue;
-        std::optional<Counterexample> cex;
-        Status error = Status::Ok();
         const bool want_cex = !ws.best_cex.has_value();
-        TrialCode code = RunOneTrial(db, ic, programs, filter, checker,
-                                     cache_ptr, master.Split(t), want_cex,
-                                     cex, error);
-        codes[t] = code;
-        if (code == TrialCode::kViolation) {
-          if (want_cex) {
-            ws.best_cex = std::move(cex);
-            ws.best_cex_trial = t;
-          }
-          if (config.stop_at_first) AtomicMin(cancel_after, t);
-        } else if (code == TrialCode::kError) {
+        Result<TrialCode> code = RunOneTrial(scope, checker, master.Split(t),
+                                             want_cex ? &ws.best_cex : nullptr);
+        if (!code.ok()) {
+          codes[t] = TrialCode::kError;
           if (ws.error_trial == kNoTrial) {
-            ws.error = std::move(error);
+            ws.error = code.status();
             ws.error_trial = t;
           }
           AtomicMin(cancel_after, t);
+          continue;
+        }
+        codes[t] = *code;
+        if (*code == TrialCode::kViolation) {
+          if (want_cex) ws.best_cex_trial = t;
+          if (config.stop_at_first) AtomicMin(cancel_after, t);
         }
       }
     }
-  };
+  });
 
-  if (threads == 1) {
-    worker_fn(0);
-  } else {
-    ThreadPool pool(threads);
-    for (size_t w = 0; w < threads; ++w) {
-      pool.Submit([&worker_fn, w] { worker_fn(w); });
-    }
-    pool.Wait();
-  }
-
-  // Associative merge: scan the per-trial codes in global order for the
+  // Associative merge: tally the per-trial codes in global order up to the
   // first decisive trial — an error, or (under stop_at_first) a violation —
-  // then tally exactly the prefix a sequential run would have produced.
+  // which is exactly the prefix a sequential run would have produced.
   uint64_t end = config.trials;
-  for (uint64_t t = 0; t < config.trials; ++t) {
-    const TrialCode code = codes[t];
-    if (code == TrialCode::kError) {
+  for (uint64_t t = 0; t < end; ++t) {
+    if (codes[t] == TrialCode::kError) {
       for (const WorkerState& ws : workers) {
         if (ws.error_trial == t) return ws.error;
       }
       NSE_CHECK_MSG(false, "trial %llu marked kError but no worker owns it",
                     static_cast<unsigned long long>(t));
     }
-    if (config.stop_at_first && code == TrialCode::kViolation) {
-      end = t + 1;
-      break;
-    }
-  }
-  for (uint64_t t = 0; t < end; ++t) {
-    NSE_CHECK_MSG(codes[t] != TrialCode::kUnprocessed,
-                  "trial %llu below the decisive index was never run",
-                  static_cast<unsigned long long>(t));
-    ++outcome.trials;
-    switch (codes[t]) {
-      case TrialCode::kFiltered:
-        ++outcome.filtered_out;
-        break;
-      case TrialCode::kCheckedOk:
-        ++outcome.checked;
-        break;
-      case TrialCode::kViolation:
-        ++outcome.checked;
-        ++outcome.violations;
-        break;
-      default:
-        break;
-    }
+    Tally(codes[t], outcome);
+    if (config.stop_at_first && codes[t] == TrialCode::kViolation) end = t + 1;
   }
   for (WorkerState& ws : workers) {
     if (!ws.best_cex.has_value() || ws.best_cex_trial >= end) continue;
@@ -305,13 +308,7 @@ Result<SearchOutcome> ExhaustiveViolationSearch(
     const std::vector<DbState>& initial_states, const HypothesisFilter& filter,
     const ExhaustiveSearchConfig& config) {
   SearchOutcome outcome;
-
-  if (filter.require_fixed_structure) {
-    for (const TransactionProgram* program : programs) {
-      StructureAnalysis analysis = AnalyzeStructure(db, *program);
-      if (!analysis.valid || !analysis.fixed) return outcome;
-    }
-  }
+  if (!MeetsStructureRequirement(db, programs, filter)) return outcome;
   const uint64_t limit = config.interleaving_limit;
   if (limit == 0) {
     // A zero budget truncates every state before the first probe, so not
@@ -320,16 +317,11 @@ Result<SearchOutcome> ExhaustiveViolationSearch(
     outcome.truncated = initial_states.size();
     return outcome;
   }
-  const size_t threads =
-      config.threads == 0 ? ThreadPool::DefaultNumThreads() : config.threads;
 
+  // Nothing is sampled here, so there are no sampling domains to pre-warm.
   SolverCache cache;
-  SolverCache* cache_ptr = config.share_solver_cache ? &cache : nullptr;
-  if (cache_ptr != nullptr) {
-    // Pre-warm before fan-out, as on the randomized path, so cold workers
-    // don't all recompute the one-time domain enumerations.
-    ConsistencyChecker(db, ic, cache_ptr).WarmSamplingDomains();
-  }
+  const SearchScope scope{db, ic, programs, filter,
+                          config.share_solver_cache ? &cache : nullptr};
 
   // Decompose each state's interleaving tree into the subtrees under its
   // live top-level choices. A state whose probe fails contributes no units;
@@ -347,11 +339,9 @@ Result<SearchOutcome> ExhaustiveViolationSearch(
     }
     if (live_or->empty()) {
       // Every program already finished: the single empty interleaving.
-      units.push_back(ExhaustiveUnit{s, 0, {}});
+      units.push_back(ExhaustiveUnit{s, {}});
     } else {
-      for (size_t j = 0; j < live_or->size(); ++j) {
-        units.push_back(ExhaustiveUnit{s, j, {(*live_or)[j]}});
-      }
+      for (size_t first : *live_or) units.push_back(ExhaustiveUnit{s, {first}});
     }
   }
   state_begin[initial_states.size()] = units.size();
@@ -365,89 +355,84 @@ Result<SearchOutcome> ExhaustiveViolationSearch(
   // a later slot might fall past the budget cut and be discarded, so it
   // must not cancel work the merge may still need.
   std::atomic<uint64_t> cancel_after{kNoTrial};
+  // Codes each unit has produced so far. The merge consumes at most `limit`
+  // minus what the state's earlier units produce, so a live snapshot of
+  // their counts bounds a unit's useful share from above. A leaf past that
+  // bound lies past the sequential budget cut: the unit records it
+  // unclassified (kUnprocessed, which the merge reads as truncation) and
+  // stops, instead of classifying executions the merge would discard.
+  std::vector<std::atomic<uint64_t>> produced(units.size());
 
-  auto run_unit = [&](const ConsistencyChecker& checker, size_t u) {
-    const ExhaustiveUnit& unit = units[u];
-    ExhaustiveUnitResult& res = results[u];
-    res.ran = true;
-    const DbState& initial = initial_states[unit.state];
-    auto visit = [&](const InterleaveResult& run,
-                     const std::vector<size_t>& choices) -> bool {
-      if (u > cancel_after.load(std::memory_order_relaxed)) {
-        // A certain decisive event before this unit: the merge will never
-        // read it, so abandon the subtree mid-enumeration.
-        return false;
-      }
-      AnalysisOptions options;
-      options.solver_cache = cache_ptr;
-      AnalysisContext ctx(db, ic, run.schedule, options);
-      if (!PassesScheduleFilter(ctx, filter)) {
-        res.codes.push_back(TrialCode::kFiltered);
-        return true;
-      }
-      auto report_or = CheckExecution(checker, run.schedule, initial);
-      if (!report_or.ok()) {
-        res.trial_error = report_or.status();
-        res.codes.push_back(TrialCode::kError);
-        return false;
-      }
-      if (report_or->strongly_correct) {
-        res.codes.push_back(TrialCode::kCheckedOk);
-        return true;
-      }
-      if (!res.cex.has_value()) {
-        res.cex_index = res.codes.size();
-        res.cex = Counterexample{initial, choices, run.schedule,
-                                 std::move(report_or).value()};
-      }
-      res.codes.push_back(TrialCode::kViolation);
-      // Past the first violation the unit's remainder is never needed under
-      // stop-at-first: the merge either stops at this violation or was cut
-      // off by the budget even earlier.
-      return !config.stop_at_first;
-    };
-    auto enumerated =
-        config.reference_enumerator
-            ? EnumerateInterleavingsFromReference(db, programs, initial,
-                                                  unit.prefix, limit, visit)
-            : EnumerateInterleavingsFrom(db, programs, initial, unit.prefix,
-                                         limit, visit);
-    if (!enumerated.ok()) {
-      res.enum_failed = true;
-      res.enum_error = enumerated.status();
-    } else {
-      res.truncated = !enumerated->exhausted;
-    }
-    const bool decisive =
-        res.enum_failed ||
-        (!res.codes.empty() &&
-         (res.codes.back() == TrialCode::kError ||
-          (config.stop_at_first &&
-           res.codes.back() == TrialCode::kViolation)));
-    if (unit.slot == 0 && decisive) AtomicMin(cancel_after, u);
-  };
-
-  auto worker_fn = [&]() {
+  FanOut(WorkerCount(config.threads), [&](size_t) {
     // As on the randomized path: checkers are worker-local, the cache is
     // shared.
-    ConsistencyChecker checker(db, ic, cache_ptr);
-    while (true) {
-      const size_t u = next_unit.fetch_add(1);
-      if (u >= units.size()) break;
+    ConsistencyChecker checker(db, ic, scope.cache);
+    for (size_t u = next_unit.fetch_add(1); u < units.size();
+         u = next_unit.fetch_add(1)) {
       if (u > cancel_after.load(std::memory_order_relaxed)) continue;
-      run_unit(checker, u);
+      const ExhaustiveUnit& unit = units[u];
+      ExhaustiveUnitResult& res = results[u];
+      res.ran = true;
+      const DbState& initial = initial_states[unit.state];
+      auto budget_left = [&] {
+        uint64_t budget = limit;
+        for (size_t j = state_begin[unit.state]; j < u; ++j) {
+          budget -= std::min(budget,
+                             produced[j].load(std::memory_order_relaxed));
+        }
+        return budget;
+      };
+      if (budget_left() == 0) {
+        // Even the subtree's first leaf lies past the cut.
+        res.codes.push_back(TrialCode::kUnprocessed);
+        continue;
+      }
+      auto visit = [&](const InterleaveResult& run,
+                       const std::vector<size_t>& choices) -> bool {
+        if (u > cancel_after.load(std::memory_order_relaxed)) {
+          // A certain decisive event before this unit: the merge will never
+          // read it, so abandon the subtree mid-enumeration.
+          return false;
+        }
+        if (res.codes.size() >= budget_left()) {
+          res.codes.push_back(TrialCode::kUnprocessed);
+          return false;
+        }
+        const bool want_cex = !res.cex.has_value();
+        Result<TrialCode> code =
+            ClassifyExecution(scope, checker, initial, choices, run.schedule,
+                              want_cex ? &res.cex : nullptr);
+        if (!code.ok()) {
+          res.trial_error = code.status();
+          res.codes.push_back(TrialCode::kError);
+          return false;
+        }
+        if (*code == TrialCode::kViolation && want_cex) {
+          res.cex_index = res.codes.size();
+        }
+        res.codes.push_back(*code);
+        produced[u].store(res.codes.size(), std::memory_order_relaxed);
+        // Past the first violation the unit's remainder is never needed
+        // under stop-at-first: the merge either stops at this violation or
+        // was cut off by the budget even earlier.
+        return *code != TrialCode::kViolation || !config.stop_at_first;
+      };
+      auto enumerated = EnumerateInterleavingsFrom(db, programs, initial,
+                                                   unit.prefix, limit, visit);
+      if (!enumerated.ok()) {
+        res.enum_error = enumerated.status();
+      } else {
+        res.truncated = !enumerated->exhausted;
+      }
+      const bool decisive =
+          !res.enum_error.ok() ||
+          (!res.codes.empty() &&
+           (res.codes.back() == TrialCode::kError ||
+            (config.stop_at_first &&
+             res.codes.back() == TrialCode::kViolation)));
+      if (u == state_begin[unit.state] && decisive) AtomicMin(cancel_after, u);
     }
-  };
-
-  if (threads == 1) {
-    worker_fn();
-  } else {
-    ThreadPool pool(threads);
-    for (size_t w = 0; w < threads; ++w) {
-      pool.Submit(worker_fn);
-    }
-    pool.Wait();
-  }
+  });
 
   // Merge in canonical order: states in order; within a state, unit code
   // lists concatenated in slot order under a fresh per-state budget of
@@ -465,30 +450,16 @@ Result<SearchOutcome> ExhaustiveViolationSearch(
       const uint64_t len = res.codes.size();
       const uint64_t take = std::min<uint64_t>(len, remaining);
       for (uint64_t k = 0; k < take && !stopped; ++k) {
-        ++outcome.trials;
-        switch (res.codes[k]) {
-          case TrialCode::kFiltered:
-            ++outcome.filtered_out;
-            break;
-          case TrialCode::kCheckedOk:
-            ++outcome.checked;
-            break;
-          case TrialCode::kViolation:
-            ++outcome.checked;
-            ++outcome.violations;
-            if (!outcome.first_counterexample.has_value()) {
-              NSE_CHECK(res.cex_index == k && res.cex.has_value());
-              outcome.first_counterexample = std::move(res.cex);
-              outcome.first_violation_trial = outcome.trials - 1;
-            }
-            if (config.stop_at_first) stopped = true;
-            break;
-          case TrialCode::kError:
-            return res.trial_error;
-          case TrialCode::kUnprocessed:
-            NSE_CHECK_MSG(false, "unprocessed code below the budget cut");
-            break;
+        const TrialCode code = res.codes[k];
+        if (code == TrialCode::kError) return res.trial_error;
+        Tally(code, outcome);
+        if (code != TrialCode::kViolation) continue;
+        if (!outcome.first_counterexample.has_value()) {
+          NSE_CHECK(res.cex_index == k && res.cex.has_value());
+          outcome.first_counterexample = std::move(res.cex);
+          outcome.first_violation_trial = outcome.trials - 1;
         }
+        stopped = config.stop_at_first;
       }
       if (stopped) break;  // visitor-stopped, not truncated (as sequential)
       remaining -= take;
@@ -496,7 +467,7 @@ Result<SearchOutcome> ExhaustiveViolationSearch(
         state_truncated = true;
         break;
       }
-      if (res.enum_failed) {
+      if (!res.enum_error.ok()) {
         // The failing replay was entered with `remaining` budget left; with
         // none, the sequential run truncates just before it instead.
         if (remaining > 0) return res.enum_error;

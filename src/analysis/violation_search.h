@@ -20,10 +20,12 @@
 // (state, first-choice) subtree units from a shared dispenser, and the
 // merge replays the canonical depth-first order under the per-state visit
 // budget — so counts, truncation, and the first counterexample (in
-// enumeration order) are bit-identical at any thread count. Enumeration is
+// enumeration order) are bit-identical at any thread count. A unit stops
+// classifying once the state's earlier units have used its share of the
+// budget, so no executions past the cut are checked. Enumeration is
 // deterministic, so no per-unit RNG streams are needed; workers share one
-// pre-warmed SolverCache, which changes only speed and cache stats, never
-// verdicts (the exhaustive path samples nothing).
+// SolverCache, which changes only speed and cache stats, never verdicts
+// (the exhaustive path samples nothing, so it warms no sampling domains).
 
 #ifndef NSE_ANALYSIS_VIOLATION_SEARCH_H_
 #define NSE_ANALYSIS_VIOLATION_SEARCH_H_
@@ -88,9 +90,6 @@ struct SearchConfig {
   /// runs inline on the calling thread (no pool) but through the same
   /// trial-stream machinery, so it is bit-identical to any other count.
   size_t threads = 1;
-  /// Trials claimed per dispenser round-trip (tradeoff: dispatch overhead
-  /// vs. tail imbalance).
-  uint64_t batch_size = 16;
   /// Share one SolverCache across all workers (sampling domains,
   /// consistency verdicts, extension subtrees). Disable to measure the
   /// uncached baseline. Note: cached sampling draws uniformly from
@@ -129,16 +128,10 @@ struct ExhaustiveSearchConfig {
   /// Worker threads; 0 means ThreadPool::DefaultNumThreads(). threads=1
   /// runs inline on the calling thread through the same unit machinery.
   size_t threads = 1;
-  /// Share one pre-warmed SolverCache across all workers. Unlike the
-  /// randomized path this never changes the outcome (nothing is sampled);
-  /// disable only to measure the uncached baseline.
+  /// Share one SolverCache across all workers. Unlike the randomized path
+  /// this never changes the outcome (nothing is sampled); disable only to
+  /// measure the uncached baseline.
   bool share_solver_cache = true;
-  /// Drive the units through EnumerateInterleavingsFromReference (the
-  /// original replay-per-node enumerator) instead of the incremental
-  /// step/undo enumerator. Visit order and every count are identical —
-  /// only wall time differs. This is the sequential baseline configuration
-  /// of bench_violation_search's exhaustive rows.
-  bool reference_enumerator = false;
 };
 
 /// Exhaustive search over every interleaving from each given initial state

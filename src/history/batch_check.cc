@@ -25,7 +25,7 @@ BatchPlaneReport PlaneFromCsr(const CsrReport& csr,
     // Incremental builds always record the closing edge and its position.
     NSE_CHECK(csr.cycle_edge.has_value() && csr.cycle_op_pos.has_value() &&
               csr.cycle.has_value());
-    BatchViolation violation;
+    HistoryViolation violation;
     violation.edge = *csr.cycle_edge;
     violation.event = source_events[*csr.cycle_op_pos];
     violation.cycle = *csr.cycle;

@@ -10,7 +10,6 @@
 #define NSE_HISTORY_BATCH_CHECK_H_
 
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,20 +18,10 @@
 
 namespace nse {
 
-/// One serializability violation, in log coordinates.
-struct BatchViolation {
-  /// The conflict edge whose creation closed the first cycle.
-  std::pair<TxnId, TxnId> edge;
-  /// Log event index of the operation that created that edge.
-  size_t event = 0;
-  /// Cycle witness (txn ids, first == last).
-  std::vector<TxnId> cycle;
-};
-
 /// Verdict of one analysis plane (the full schedule, or one projection).
 struct BatchPlaneReport {
   bool ok = true;
-  std::optional<BatchViolation> violation;
+  std::optional<HistoryViolation> violation;
 };
 
 /// The complete batch verdict over a history.

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/multiversion.h"
@@ -126,6 +127,22 @@ struct CommittedProjection {
 /// Derives the committed projection. The history must validate; call
 /// ValidateHistory first on untrusted input (ParseHistory already does).
 CommittedProjection CommittedProjectionOf(const History& history);
+
+/// One serializability violation, in log coordinates: the witness both the
+/// batch plane and the streaming checker report, so their differential
+/// compares witnesses with ==.
+struct HistoryViolation {
+  /// The conflict edge whose creation closed the first cycle.
+  std::pair<TxnId, TxnId> edge;
+  /// Log event index of the operation that created that edge.
+  size_t event = 0;
+  /// Cycle witness (txn ids, first == last).
+  std::vector<TxnId> cycle;
+
+  bool operator==(const HistoryViolation& other) const {
+    return edge == other.edge && event == other.event && cycle == other.cycle;
+  }
+};
 
 }  // namespace nse
 

@@ -3,7 +3,7 @@
 // online incremental ConflictGraph (Pearce–Kelly mode) of every operation
 // the simulator has executed — committed and active transactions alike —
 // and, before admitting a step, derives the conflict edges that step would
-// add (through the same ConflictAccessIndex rule the analysis sweep uses)
+// add (through ConflictAccessIndex, the paper's conflict rule with retraction)
 // and asks WouldCloseCycle. An access whose edges keep the graph acyclic
 // proceeds immediately, without any locks; an access that would close a
 // conflict cycle is vetoed.

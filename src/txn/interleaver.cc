@@ -194,7 +194,8 @@ namespace {
 /// finished exactly when Step yields nothing — which also replaces the
 /// per-node ProbeAllFinished pass: a node is a leaf iff no child stepped.
 /// Visit order, visited counts, and the truncated flag are identical to
-/// EnumerateRecReference (differential-fuzzed in interleaver_test.cc).
+/// the replay-per-node reference enumerator in tests/oracles
+/// (differential-fuzzed in interleaver_test.cc).
 Status EnumerateRec(const Database& db, Arena& arena,
                     std::vector<size_t>& prefix, uint64_t limit,
                     uint64_t& visited, bool& stop, bool& truncated,
@@ -235,49 +236,6 @@ Status EnumerateRec(const Database& db, Arena& arena,
   return Status::Ok();
 }
 
-/// The original enumeration: a fresh Arena + full prefix replay at every
-/// node, O(depth^2) program steps per path. Kept as the differential
-/// reference for EnumerateRec and as the sequential baseline the
-/// bench_violation_search exhaustive speedups are measured against.
-Status EnumerateRecReference(
-    const Database& db, const std::vector<const TransactionProgram*>& programs,
-    const DbState& initial, std::vector<size_t>& prefix, uint64_t limit,
-    uint64_t& visited, bool& stop, bool& truncated,
-    const InterleavingVisitor& visit) {
-  if (stop) return Status::Ok();
-  if (visited >= limit) {
-    truncated = true;
-    return Status::Ok();
-  }
-  Arena arena(db, programs, initial);
-  for (size_t index : prefix) {
-    NSE_ASSIGN_OR_RETURN(bool stepped, arena.StepOne(db, index));
-    NSE_CHECK(stepped);
-  }
-  NSE_ASSIGN_OR_RETURN(bool all_done, arena.ProbeAllFinished());
-  if (all_done) {
-    ++visited;
-    InterleaveResult result{Schedule(arena.ops), arena.state, true};
-    if (!visit(result, prefix)) stop = true;
-    return Status::Ok();
-  }
-  for (size_t i = 0; i < programs.size(); ++i) {
-    if (stop) break;
-    NSE_ASSIGN_OR_RETURN(bool done, arena.execs[i].ProbeFinished());
-    if (done) continue;
-    if (visited >= limit) {
-      truncated = true;
-      break;
-    }
-    prefix.push_back(i);
-    NSE_RETURN_IF_ERROR(EnumerateRecReference(db, programs, initial, prefix,
-                                              limit, visited, stop, truncated,
-                                              visit));
-    prefix.pop_back();
-  }
-  return Status::Ok();
-}
-
 /// Shared driver: seeds the arena with `prefix` (pinning the subtree; the
 /// recursion pushes/pops strictly above the seed) and runs the incremental
 /// enumeration.
@@ -313,21 +271,6 @@ Result<EnumerationOutcome> EnumerateInterleavingsFrom(
     const DbState& initial, const std::vector<size_t>& prefix, uint64_t limit,
     const InterleavingVisitor& visit) {
   return EnumerateFromImpl(db, programs, initial, prefix, limit, visit);
-}
-
-Result<EnumerationOutcome> EnumerateInterleavingsFromReference(
-    const Database& db, const std::vector<const TransactionProgram*>& programs,
-    const DbState& initial, const std::vector<size_t>& prefix, uint64_t limit,
-    const InterleavingVisitor& visit) {
-  std::vector<size_t> seeded = prefix;
-  EnumerationOutcome outcome;
-  bool stop = false;
-  bool truncated = false;
-  NSE_RETURN_IF_ERROR(EnumerateRecReference(db, programs, initial, seeded,
-                                            limit, outcome.visited, stop,
-                                            truncated, visit));
-  outcome.exhausted = !truncated;
-  return outcome;
 }
 
 Result<std::vector<size_t>> LiveFirstChoices(

@@ -106,19 +106,6 @@ Result<EnumerationOutcome> EnumerateInterleavingsFrom(
     const DbState& initial, const std::vector<size_t>& prefix, uint64_t limit,
     const InterleavingVisitor& visit);
 
-/// EnumerateInterleavingsFrom, original implementation: a fresh execution
-/// arena plus a full prefix replay at every tree node (O(depth^2) program
-/// steps per path). The production enumerator above walks the same tree
-/// with one persistent arena and step/undo per edge; this replay-per-node
-/// version is kept as its differential reference (identical visit order,
-/// visited counts, and truncation behavior — fuzz-checked) and as the
-/// sequential baseline bench_violation_search measures the exhaustive
-/// engine against.
-Result<EnumerationOutcome> EnumerateInterleavingsFromReference(
-    const Database& db, const std::vector<const TransactionProgram*>& programs,
-    const DbState& initial, const std::vector<size_t>& prefix, uint64_t limit,
-    const InterleavingVisitor& visit);
-
 /// The program indices that can perform an operation first from `initial`,
 /// in ascending order — i.e. the valid first choices of any complete
 /// interleaving. Empty iff every program is already finished, in which case

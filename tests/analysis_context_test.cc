@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "constraints/ast.h"
 #include "fuzz_env.h"
+#include "oracles/oracles.h"
 #include "txn/program.h"
 
 namespace nse {
@@ -361,13 +362,13 @@ TEST(AnalysisContextFusedSweepFuzz, FusedPlanesMatchMaterializedReference) {
     Schedule s(std::move(ops));
     AnalysisContext ctx(db, *ic, s);
 
-    ConflictGraph full = ConflictGraph::BuildReference(s);
+    ConflictGraph full = oracles::BuildReference(s);
     EXPECT_EQ(ctx.conflict_graph().Edges(), full.Edges()) << "seed " << seed;
     EXPECT_EQ(ctx.conflict_graph().ToString(), full.ToString());
 
     for (size_t e = 0; e < ic->num_conjuncts(); ++e) {
       ConflictGraph direct =
-          ConflictGraph::BuildReference(s.Project(ic->data_set(e)));
+          oracles::BuildReference(s.Project(ic->data_set(e)));
       EXPECT_EQ(ctx.projection_graph(e).nodes(), direct.nodes())
           << "seed " << seed << " conjunct " << e;
       EXPECT_EQ(ctx.projection_graph(e).Edges(), direct.Edges())

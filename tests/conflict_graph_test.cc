@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "fuzz_env.h"
+#include "oracles/oracles.h"
 
 namespace nse {
 namespace {
@@ -185,7 +186,7 @@ TEST(ConflictGraphDenseSweepFuzz, DenseBuildMatchesReferenceOnRandomSchedules) {
     Schedule s(std::move(ops));
     for (CycleMode mode : {CycleMode::kBatch, CycleMode::kIncremental}) {
       ConflictGraph dense = ConflictGraph::Build(s, mode);
-      ConflictGraph reference = ConflictGraph::BuildReference(s, mode);
+      ConflictGraph reference = oracles::BuildReference(s, mode);
       ASSERT_EQ(dense.nodes(), reference.nodes()) << "seed " << seed;
       ASSERT_EQ(dense.Edges(), reference.Edges()) << "seed " << seed;
       ASSERT_EQ(dense.num_edges(), reference.num_edges());

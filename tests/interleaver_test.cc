@@ -7,6 +7,7 @@
 
 #include "constraints/solver.h"
 #include "fuzz_env.h"
+#include "oracles/oracles.h"
 #include "paper/paper_examples.h"
 #include "scheduler/workload.h"
 
@@ -208,7 +209,7 @@ TEST(InterleaverEnumeratorFuzz, IncrementalMatchesReferenceEnumerator) {
             return stop_after == 0 || out.size() < stop_after;
           };
           return reference
-                     ? EnumerateInterleavingsFromReference(
+                     ? oracles::EnumerateInterleavingsFromReference(
                            workload->db, programs, *initial, prefix, limit,
                            visit)
                      : EnumerateInterleavingsFrom(workload->db, programs,

@@ -1,0 +1,55 @@
+// Reference implementations ("oracles") of the analysis core's fast paths.
+// Each is the straightforward version of an optimized production routine,
+// written over the public library API only, and kept outside libnse: the
+// differential tests compare production against them, and the benches
+// measure production speedups against them. Production builds never link
+// this library.
+
+#ifndef NSE_TESTS_ORACLES_ORACLES_H_
+#define NSE_TESTS_ORACLES_ORACLES_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "analysis/conflict_graph.h"
+#include "analysis/violation_search.h"
+#include "txn/interleaver.h"
+
+namespace nse {
+namespace oracles {
+
+/// ConflictGraph::Build over the vector-scan sweep: per-item reader/writer
+/// histories (ConflictAccessIndex) emit every candidate conflict pair at
+/// every position and AddEdgeByIndexAt dedupes them. The dense bitset sweep
+/// behind Build must yield the bit-identical graph — same edges inserted in
+/// the same order, hence the same cycle witnesses.
+ConflictGraph BuildReference(const Schedule& schedule,
+                             CycleMode mode = CycleMode::kBatch);
+
+/// EnumerateInterleavingsFrom by replay-per-node: every tree node builds
+/// fresh ProgramExecution steppers and replays its whole choice prefix
+/// (O(depth^2) program steps per path). The production enumerator walks
+/// the same tree with one persistent arena and step/undo per edge; the two
+/// must agree on visit order, visited counts and truncation.
+Result<EnumerationOutcome> EnumerateInterleavingsFromReference(
+    const Database& db, const std::vector<const TransactionProgram*>& programs,
+    const DbState& initial, const std::vector<size_t>& prefix, uint64_t limit,
+    const InterleavingVisitor& visit);
+
+/// ExhaustiveViolationSearch the sequential way: for each initial state in
+/// order, one root enumeration (EnumerateInterleavingsFromReference, budget
+/// `interleaving_limit`) whose visitor filters and checks each execution
+/// through its own AnalysisContext and CheckExecution, with no solver cache
+/// and no subtree units or merge. The production engine must return the
+/// same counts, truncation, first violation index and counterexample at
+/// any thread count.
+Result<SearchOutcome> ReferenceExhaustiveSearch(
+    const Database& db, const IntegrityConstraint& ic,
+    const std::vector<const TransactionProgram*>& programs,
+    const std::vector<DbState>& initial_states, const HypothesisFilter& filter,
+    uint64_t interleaving_limit, bool stop_at_first);
+
+}  // namespace oracles
+}  // namespace nse
+
+#endif  // NSE_TESTS_ORACLES_ORACLES_H_

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/solver.h"
+#include "oracles/oracles.h"
 #include "paper/paper_examples.h"
 #include "scheduler/workload.h"
 
@@ -92,9 +93,10 @@ TEST(ViolationSearchTest, ExhaustiveSearchReportsTruncation) {
 /// and both exploration styles.
 SearchConfig ParityConfig(size_t threads) {
   SearchConfig config;
+  // Deliberately not a multiple of the engine's 16-trial claim batch, so
+  // the last batch is partial.
   config.trials = 300;
   config.threads = threads;
-  config.batch_size = 7;  // deliberately unaligned with the trial count
   return config;
 }
 
@@ -280,31 +282,56 @@ TEST(ViolationSearchTest, ExhaustiveStopAtFirstIsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ViolationSearchTest, ExhaustiveTruncationIsIdenticalAcrossThreadCounts) {
-  // Tiny budgets cut enumerations mid-subtree; the parallel merge must
-  // reconstruct the same per-state budget cuts (and truncated count) the
-  // sequential walk hits, for every awkward limit.
+  // Tiny budgets cut enumerations mid-subtree. The parallel unit
+  // decomposition and per-state budget merge must reproduce an
+  // independently written sequential search (tests/oracles: one root
+  // enumeration per state by the replay-per-node enumerator; no units, no
+  // merge, no cache) on every count, the truncation tally, the first
+  // violation's index and its counterexample, at every thread count,
+  // budget and stop mode.
   auto ex = paper::Example2::Make();
-  std::vector<const TransactionProgram*> programs{&ex.tp1, &ex.tp2};
   auto states =
       ConsistencyChecker(ex.db, *ex.ic).EnumerateConsistentStates(3);
   ASSERT_TRUE(states.ok()) << states.status();
-  HypothesisFilter filter;
+  HypothesisFilter pwsr;
+  pwsr.require_pwsr = true;
+  // From these states TP1-first subtrees hold 20 interleavings and
+  // TP2-first ones a single one: listing TP1 first, the slot-0 unit alone
+  // exhausts every budget below; listing TP2 first, every budget crosses
+  // into the second unit, exercising the merge's cross-unit bookkeeping.
+  const std::vector<std::vector<const TransactionProgram*>> orders{
+      {&ex.tp1, &ex.tp2}, {&ex.tp2, &ex.tp1}};
 
-  for (uint64_t limit : {1, 2, 3, 7, 19}) {
-    ExhaustiveSearchConfig config;
-    config.interleaving_limit = limit;
-    auto sequential = ExhaustiveViolationSearch(ex.db, *ex.ic, programs,
-                                                *states, filter, config);
-    ASSERT_TRUE(sequential.ok()) << sequential.status();
-    EXPECT_GT(sequential->truncated, 0u) << "limit " << limit;
-    for (size_t threads : {2, 8}) {
-      config.threads = threads;
-      auto parallel = ExhaustiveViolationSearch(ex.db, *ex.ic, programs,
-                                                *states, filter, config);
-      ASSERT_TRUE(parallel.ok()) << parallel.status();
-      ExpectSameOutcome(*sequential, *parallel, ex.db);
+  uint64_t violations = 0;
+  for (const auto& programs : orders) {
+    for (const HypothesisFilter& filter : {HypothesisFilter{}, pwsr}) {
+      for (uint64_t limit : {1, 2, 3, 7, 19}) {
+        for (bool stop_at_first : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "tp1 first " << (programs[0] == &ex.tp1) << " pwsr "
+                       << filter.require_pwsr << " limit " << limit
+                       << " stop_at_first " << stop_at_first);
+          auto want = oracles::ReferenceExhaustiveSearch(
+              ex.db, *ex.ic, programs, *states, filter, limit, stop_at_first);
+          ASSERT_TRUE(want.ok()) << want.status();
+          if (!stop_at_first) EXPECT_GT(want->truncated, 0u);
+          violations += want->violations;
+          for (size_t threads : {1, 2, 8}) {
+            ExhaustiveSearchConfig config;
+            config.interleaving_limit = limit;
+            config.stop_at_first = stop_at_first;
+            config.threads = threads;
+            auto got = ExhaustiveViolationSearch(ex.db, *ex.ic, programs,
+                                                 *states, filter, config);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ExpectSameOutcome(*want, *got, ex.db);
+          }
+        }
+      }
     }
   }
+  // Violations must occur, or the counterexample comparisons were vacuous.
+  EXPECT_GT(violations, 0u);
 }
 
 TEST(ViolationSearchTest, ExhaustiveCacheToggleNeverChangesTheVerdicts) {

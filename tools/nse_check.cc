@@ -3,12 +3,14 @@
 //   nse_check [--window N] [--plane a,b --plane c ...] FILE.jsonl
 //
 // Reads a versioned JSON-lines history (docs/history-format.md), runs both
-// the streaming windowed checker and the batch plane over it (asserting
-// they agree — the CLI is also a deployment of the differential contract),
-// and prints the classification with witnesses in log-event coordinates.
+// the streaming windowed checker and the batch plane over it, asserting
+// they agree on every plane's verdict and witness and on the aborted reads
+// (the CLI is also a deployment of the differential contract), and prints
+// the classification with witnesses in log-event coordinates.
 //
 // Exit codes: 0 = serializable and clean, 1 = violation (conflict cycle on
-// any plane, or a committed dirty read), 2 = unreadable/malformed input.
+// any plane, or a committed dirty read), 2 = unreadable/malformed input or
+// a disagreement between the two checkers.
 
 #include <algorithm>
 #include <cctype>
@@ -76,7 +78,19 @@ bool ParsePlane(const Database& db, const std::string& spec, DataSet* plane) {
   return true;
 }
 
-std::string DescribeViolation(const StreamingViolation& v) {
+/// The differential contract: both checkers report the same verdict and
+/// witness on every plane, and the same aborted reads.
+bool CheckersAgree(const StreamingReport& streaming, const BatchReport& batch) {
+  auto same = [](const StreamingPlaneReport& s, const BatchPlaneReport& b) {
+    return s.ok == b.ok && s.violation == b.violation;
+  };
+  return same(streaming.full, batch.full) &&
+         std::equal(streaming.planes.begin(), streaming.planes.end(),
+                    batch.planes.begin(), batch.planes.end(), same) &&
+         streaming.aborted_reads == batch.aborted_reads;
+}
+
+std::string DescribeViolation(const HistoryViolation& v) {
   std::ostringstream out;
   out << "conflict cycle ";
   for (size_t i = 0; i < v.cycle.size(); ++i) {
@@ -139,8 +153,7 @@ int Run(int argc, char** argv) {
   StreamingReport report = CheckHistoryStreaming(h, options);
   BatchReport batch = CheckHistoryBatch(h, options.planes);
   // The CLI re-checks the differential contract on every invocation.
-  if (report.full.ok != batch.full.ok ||
-      report.aborted_reads != batch.aborted_reads) {
+  if (!CheckersAgree(report, batch)) {
     std::cerr << "nse_check: internal error: streaming and batch checkers "
                  "disagree on " << path << "\n";
     return 2;
