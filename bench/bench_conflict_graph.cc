@@ -18,6 +18,11 @@
 //    vector sweep (oracles::BuildReference, tests/oracles) on a
 //    many-txns/few-items schedule, with a bit-identical-graph differential
 //    check before timing.
+//  * batch build scaling — incremental ConflictGraph::Build on one seeded
+//    dense generator at two sizes; `linearity` is ms/edge at the small
+//    size over ms/edge at the large one: ~1 for a build linear in the edge
+//    count, far below it for a super-linear one (an adjacency that
+//    compacted one shared slab on every region overflow read ~0.1).
 //
 // Both modes run the same deterministic edge stream (seeded Rng); the
 // incremental verdicts are NSE_CHECKed against the batch DFS reference on
@@ -172,6 +177,24 @@ double RunInsertQuery(size_t num_txns, size_t edges, uint64_t seed,
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
+/// Seeded random schedule: `ops` accesses, each by a uniform txn of
+/// `num_txns` on a uniform item of `items`, reads and writes equally likely.
+Schedule RandomSchedule(size_t num_txns, size_t items, size_t ops,
+                        uint64_t seed) {
+  Rng rng(seed);
+  OpSequence seq;
+  for (size_t i = 0; i < ops; ++i) {
+    TxnId txn = static_cast<TxnId>(1 + rng.NextBelow(num_txns));
+    ItemId item = static_cast<ItemId>(rng.NextBelow(items));
+    if (rng.NextBool(0.5)) {
+      seq.push_back(Operation::Write(txn, item, Value(0)));
+    } else {
+      seq.push_back(Operation::Read(txn, item, Value(0)));
+    }
+  }
+  return Schedule(std::move(seq));
+}
+
 struct Row {
   std::string workload;
   size_t txns = 0;
@@ -297,8 +320,7 @@ int main(int argc, char** argv) {
   // Dense-item builds: many txns hammering a handful of items — the worst
   // case for the reference vector sweep (every access rescans long
   // reader/writer histories) and the target case for the bitset planes
-  // (word-parallel novelty masks + first-occurrence emission). Also the
-  // FlatAdjacency stress shape: a few hundred nodes with fat, hot regions.
+  // (word-parallel novelty masks + first-occurrence emission).
   struct DenseCase {
     size_t txns;
     size_t items;
@@ -308,18 +330,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<DenseCase>{{48, 2, 400}}
             : std::vector<DenseCase>{{256, 4, 6000}};
   for (const DenseCase& c : dense_cases) {
-    Rng rng(31);
-    OpSequence ops;
-    for (size_t i = 0; i < c.ops; ++i) {
-      TxnId txn = static_cast<TxnId>(1 + rng.NextBelow(c.txns));
-      ItemId item = static_cast<ItemId>(rng.NextBelow(c.items));
-      if (rng.NextBool(0.5)) {
-        ops.push_back(Operation::Write(txn, item, Value(0)));
-      } else {
-        ops.push_back(Operation::Read(txn, item, Value(0)));
-      }
-    }
-    Schedule schedule(std::move(ops));
+    const Schedule schedule = RandomSchedule(c.txns, c.items, c.ops, 31);
 
     // Differential contract first: the dense fast path must produce the
     // bit-identical graph (same edges in the same order).
@@ -356,11 +367,45 @@ int main(int argc, char** argv) {
     add_row(row, /*stall=*/false);
   }
 
+  // Batch-build scaling: the same generator (4 accesses per txn over 64
+  // items, so edges grow quadratically) at two sizes; per-edge cost must
+  // not grow with the graph.
+  const size_t small_txns = smoke ? 100 : 750;
+  const size_t large_txns = smoke ? 400 : 3000;
+  size_t scaling_edges[2] = {0, 0};
+  double scaling_ms[2] = {0, 0};
+  for (int k = 0; k < 2; ++k) {
+    const size_t txns = k == 0 ? small_txns : large_txns;
+    const Schedule schedule = RandomSchedule(txns, 64, 4 * txns, 37);
+    scaling_ms[k] = bench::BestOfMs(reps, [&] {
+      ConflictGraph g = ConflictGraph::Build(schedule, CycleMode::kIncremental);
+      scaling_edges[k] = g.num_edges();
+    });
+  }
+  const double linearity = (scaling_ms[0] / scaling_edges[0]) /
+                           (scaling_ms[1] / scaling_edges[1]);
+  report.AddRow()
+      .Key("workload", "batch_build_scaling")
+      .Key("txns_small", small_txns)
+      .Key("txns_large", large_txns)
+      .Exact("edges_small", scaling_edges[0])
+      .Exact("edges_large", scaling_edges[1])
+      .Ratio("linearity", linearity)
+      .Info("small_ms", scaling_ms[0])
+      .Info("large_ms", scaling_ms[1]);
+
   std::cout << "\n=== Conflict graph: incremental (Pearce-Kelly) vs "
                "rebuild+DFS per tick ===\n"
             << table.Render()
             << "(legacy = rebuild graph + batch DFS per tick; incremental = "
-               "persistent graph, blocker-set diffs, O(1) cycle query)\n";
+               "persistent graph, blocker-set diffs, O(1) cycle query)\n"
+            << "batch build scaling: " << small_txns << " txns / "
+            << scaling_edges[0] << " edges in "
+            << FormatDouble(scaling_ms[0], 3) << " ms, " << large_txns
+            << " txns / " << scaling_edges[1] << " edges in "
+            << FormatDouble(scaling_ms[1], 3)
+            << " ms, linearity (ms/edge small / large) "
+            << FormatDouble(linearity, 3) << "\n";
 
   if (smoke) {
     std::cout << "smoke mode: incremental-vs-DFS parity checks passed, "

@@ -1,6 +1,8 @@
 #include "analysis/conflict_graph.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -29,6 +31,25 @@ bool TestBit(const std::vector<uint64_t>& words, uint32_t accessor) {
 void ClearBit(std::vector<uint64_t>& words, uint32_t accessor) {
   const size_t w = accessor >> 6;
   if (w < words.size()) words[w] &= ~(uint64_t{1} << (accessor & 63));
+}
+
+/// Inserts `value` into a sorted neighbor list; returns true when it was
+/// not already present. Lists stay sorted so that iteration order — and
+/// with it Edges(), cycle witnesses and Pearce–Kelly regions — is a
+/// function of the edge set alone.
+bool SortedInsert(std::vector<uint32_t>& list, uint32_t value) {
+  auto pos = std::lower_bound(list.begin(), list.end(), value);
+  if (pos != list.end() && *pos == value) return false;
+  list.insert(pos, value);
+  return true;
+}
+
+/// Removes `value` from a sorted neighbor list; returns true when present.
+bool SortedErase(std::vector<uint32_t>& list, uint32_t value) {
+  auto pos = std::lower_bound(list.begin(), list.end(), value);
+  if (pos == list.end() || *pos != value) return false;
+  list.erase(pos);
+  return true;
 }
 
 }  // namespace
@@ -68,81 +89,6 @@ void ConflictAccessIndex::Erase(uint32_t accessor) {
   }
 }
 
-namespace internal {
-
-void FlatAdjacency::Reset(size_t num_nodes) {
-  // Fresh regions with a little slack each, so the first neighbors land
-  // without an immediate compaction.
-  constexpr uint32_t kInitialCap = 2;
-  start_.resize(num_nodes);
-  count_.assign(num_nodes, 0);
-  cap_.assign(num_nodes, kInitialCap);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    start_[i] = static_cast<uint32_t>(i * kInitialCap);
-  }
-  slab_.assign(num_nodes * kInitialCap, 0);
-  compactions_ = 0;
-}
-
-bool FlatAdjacency::Insert(size_t node, uint32_t value) {
-  uint32_t* base = slab_.data() + start_[node];
-  uint32_t* end = base + count_[node];
-  uint32_t* pos = std::lower_bound(base, end, value);
-  if (pos != end && *pos == value) return false;
-  if (count_[node] == cap_[node]) {
-    const size_t offset = static_cast<size_t>(pos - base);
-    Compact(node);
-    base = slab_.data() + start_[node];
-    end = base + count_[node];
-    pos = base + offset;
-  }
-  std::copy_backward(pos, end, end + 1);
-  *pos = value;
-  ++count_[node];
-  return true;
-}
-
-bool FlatAdjacency::Erase(size_t node, uint32_t value) {
-  uint32_t* base = slab_.data() + start_[node];
-  uint32_t* end = base + count_[node];
-  uint32_t* pos = std::lower_bound(base, end, value);
-  if (pos == end || *pos != value) return false;
-  std::copy(pos + 1, end, pos);
-  --count_[node];
-  return true;
-}
-
-bool FlatAdjacency::Contains(size_t node, uint32_t value) const {
-  const uint32_t* base = slab_.data() + start_[node];
-  return std::binary_search(base, base + count_[node], value);
-}
-
-void FlatAdjacency::Compact(size_t grow_node) {
-  // One pass re-layout: every region gets proportional slack (count/2 + 2),
-  // so each node triggers at most O(log degree) compactions as it grows and
-  // the slab stays within a constant factor of the live data.
-  ++compactions_;
-  std::vector<uint32_t> new_start(start_.size());
-  size_t total = 0;
-  for (size_t i = 0; i < start_.size(); ++i) {
-    new_start[i] = static_cast<uint32_t>(total);
-    uint32_t cap = count_[i] + count_[i] / 2 + 2;
-    if (i == grow_node && cap < count_[i] + 1) cap = count_[i] + 1;
-    cap_[i] = cap;
-    total += cap;
-  }
-  std::vector<uint32_t> new_slab(total);
-  for (size_t i = 0; i < start_.size(); ++i) {
-    std::copy(slab_.begin() + start_[i],
-              slab_.begin() + start_[i] + count_[i],
-              new_slab.begin() + new_start[i]);
-  }
-  slab_ = std::move(new_slab);
-  start_ = std::move(new_start);
-}
-
-}  // namespace internal
-
 ConflictGraph::ConflictGraph(std::vector<TxnId> nodes, CycleMode mode)
     : nodes_(std::move(nodes)),
       out_(nodes_.size()),
@@ -153,7 +99,7 @@ ConflictGraph::ConflictGraph(std::vector<TxnId> nodes, CycleMode mode)
           std::adjacent_find(nodes_.begin(), nodes_.end()) == nodes_.end(),
       "conflict graph nodes must be sorted and distinct");
   if (mode_ == CycleMode::kIncremental) {
-    in_.Reset(nodes_.size());
+    in_.resize(nodes_.size());
     ord_.resize(nodes_.size());
     // Any order over an edgeless graph is topological; start at identity.
     for (size_t i = 0; i < ord_.size(); ++i) {
@@ -196,12 +142,12 @@ size_t ConflictGraph::IndexOf(TxnId txn) const {
 
 bool ConflictGraph::AddEdgeByIndexInternal(uint32_t from, uint32_t to,
                                            std::optional<size_t> op_pos) {
-  if (!out_.Insert(from, to)) return false;
+  if (!SortedInsert(out_[from], to)) return false;
   ++indegree_[to];
   ++num_edges_;
   topo_valid_ = false;
   if (mode_ == CycleMode::kIncremental) {
-    in_.Insert(to, from);
+    SortedInsert(in_[to], from);
     // While a cycle is recorded the maintained order is suspended (it is
     // re-anchored by RebuildOrderAndCycle once a removal may have broken
     // the cycle).
@@ -352,8 +298,8 @@ bool ConflictGraph::RemoveEdge(TxnId from, TxnId to) {
                 "RemoveEdge requires incremental mode");
   uint32_t x = static_cast<uint32_t>(IndexOf(from));
   uint32_t y = static_cast<uint32_t>(IndexOf(to));
-  if (!out_.Erase(x, y)) return false;
-  NSE_CHECK(in_.Erase(y, x));
+  if (!SortedErase(out_[x], y)) return false;
+  NSE_CHECK(SortedErase(in_[y], x));
   --indegree_[y];
   --num_edges_;
   topo_valid_ = false;
@@ -367,18 +313,16 @@ void ConflictGraph::RemoveEdgesOf(TxnId txn) {
   NSE_CHECK_MSG(mode_ == CycleMode::kIncremental,
                 "RemoveEdgesOf requires incremental mode");
   uint32_t idx = static_cast<uint32_t>(IndexOf(txn));
-  // Erases shift only within the touched region, so the spans over idx's
-  // own regions stay valid throughout.
   for (uint32_t succ : out_[idx]) {
-    NSE_CHECK(in_.Erase(succ, idx));
+    NSE_CHECK(SortedErase(in_[succ], idx));
     --indegree_[succ];
   }
   for (uint32_t pred : in_[idx]) {
-    NSE_CHECK(out_.Erase(pred, idx));
+    NSE_CHECK(SortedErase(out_[pred], idx));
   }
-  num_edges_ -= out_.size(idx) + in_.size(idx);
-  out_.Clear(idx);
-  in_.Clear(idx);
+  num_edges_ -= out_[idx].size() + in_[idx].size();
+  out_[idx].clear();
+  in_[idx].clear();
   indegree_[idx] = 0;
   NSE_DCHECK_MSG(NoEdgesReference(idx),
                  "edges referencing retracted txn %u survived", txn);
@@ -392,7 +336,10 @@ bool ConflictGraph::NoEdgesReference(uint32_t idx) const {
   // either direction.
   for (uint32_t i = 0; i < nodes_.size(); ++i) {
     if (i == idx) continue;
-    if (out_.Contains(i, idx) || in_.Contains(i, idx)) return false;
+    if (std::binary_search(out_[i].begin(), out_[i].end(), idx) ||
+        std::binary_search(in_[i].begin(), in_[i].end(), idx)) {
+      return false;
+    }
   }
   return true;
 }
@@ -401,7 +348,7 @@ std::vector<TxnId> ConflictGraph::Predecessors(TxnId txn) const {
   NSE_CHECK_MSG(mode_ == CycleMode::kIncremental,
                 "Predecessors requires incremental mode");
   std::vector<TxnId> out;
-  const internal::FlatAdjacency::Span pred = in_[IndexOf(txn)];
+  const std::vector<uint32_t>& pred = in_[IndexOf(txn)];
   out.reserve(pred.size());
   for (uint32_t idx : pred) out.push_back(nodes_[idx]);
   return out;
@@ -411,7 +358,7 @@ std::vector<TxnId> ConflictGraph::Successors(TxnId txn) const {
   NSE_CHECK_MSG(mode_ == CycleMode::kIncremental,
                 "Successors requires incremental mode");
   std::vector<TxnId> out;
-  const internal::FlatAdjacency::Span succ = out_[IndexOf(txn)];
+  const std::vector<uint32_t>& succ = out_[IndexOf(txn)];
   out.reserve(succ.size());
   for (uint32_t idx : succ) out.push_back(nodes_[idx]);
   return out;
@@ -515,7 +462,9 @@ std::optional<std::vector<TxnId>> ConflictGraph::WouldCloseCycleWitness(
 }
 
 bool ConflictGraph::HasEdge(TxnId from, TxnId to) const {
-  return out_.Contains(IndexOf(from), static_cast<uint32_t>(IndexOf(to)));
+  const std::vector<uint32_t>& succ = out_[IndexOf(from)];
+  return std::binary_search(succ.begin(), succ.end(),
+                            static_cast<uint32_t>(IndexOf(to)));
 }
 
 std::vector<std::pair<TxnId, TxnId>> ConflictGraph::Edges() const {
@@ -531,20 +480,20 @@ const std::optional<std::vector<TxnId>>& ConflictGraph::CachedTopo() const {
   if (topo_valid_) return topo_;
   size_t n = nodes_.size();
   std::vector<uint32_t> indegree = indegree_;
-  std::vector<size_t> ready;
-  for (size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push_back(i);
+  // Min-heap of ready node indices: popping the smallest ready node gives
+  // the deterministic canonical order in O((V+E) log V).
+  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>> ready;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (indegree[i] == 0) ready.push(i);
   }
   std::vector<TxnId> order;
   order.reserve(n);
-  // Pop the smallest ready node for a deterministic canonical order.
   while (!ready.empty()) {
-    auto it = std::min_element(ready.begin(), ready.end());
-    size_t node = *it;
-    ready.erase(it);
+    const uint32_t node = ready.top();
+    ready.pop();
     order.push_back(nodes_[node]);
     for (uint32_t j : out_[node]) {
-      if (--indegree[j] == 0) ready.push_back(j);
+      if (--indegree[j] == 0) ready.push(j);
     }
   }
   if (order.size() != n) {
@@ -570,7 +519,7 @@ std::optional<std::vector<TxnId>> ConflictGraph::TopologicalOrder() const {
 namespace {
 
 void AllTopoRec(const std::vector<TxnId>& nodes,
-                const internal::FlatAdjacency& out_adj,
+                const std::vector<std::vector<uint32_t>>& out_adj,
                 std::vector<uint32_t>& indegree, std::vector<bool>& used,
                 std::vector<TxnId>& current, size_t limit,
                 std::vector<std::vector<TxnId>>& out) {
@@ -618,7 +567,7 @@ std::optional<std::vector<TxnId>> ConflictGraph::FindCycle() const {
     while (!stack.empty()) {
       auto& [node, next] = stack.back();
       bool advanced = false;
-      const internal::FlatAdjacency::Span succ = out_[node];
+      const std::vector<uint32_t>& succ = out_[node];
       for (size_t k = next; k < succ.size(); ++k) {
         size_t j = succ[k];
         next = k + 1;

@@ -44,80 +44,6 @@ enum class CycleMode : uint8_t {
   kIncremental,
 };
 
-namespace internal {
-
-/// CSR-style flat adjacency storage: every node's neighbor list is a sorted
-/// region of one shared slab, with per-node slack so inserts are in-place
-/// shifts. When a region fills, the whole slab is compacted once with fresh
-/// proportional slack — amortized O(1) slabs per node doubling, in exchange
-/// for one allocation per compaction instead of one per neighbor list.
-///
-/// Regions stay sorted deliberately (the issue's unsorted-insert variant
-/// was rejected; see docs/adr/0006): iteration order is then bit-identical
-/// to the nested-vector layout this replaces, which the recorded cycle
-/// witnesses, WouldCloseCycleWitness paths, and Edges() ordering all
-/// observe.
-class FlatAdjacency {
- public:
-  FlatAdjacency() = default;
-  explicit FlatAdjacency(size_t num_nodes) { Reset(num_nodes); }
-
-  /// Re-initializes to `num_nodes` empty regions.
-  void Reset(size_t num_nodes);
-
-  /// A view of one node's sorted neighbors. Invalidated by Insert (which
-  /// may compact the slab); Erase/Clear keep other regions in place.
-  class Span {
-   public:
-    Span(const uint32_t* begin, const uint32_t* end)
-        : begin_(begin), end_(end) {}
-    const uint32_t* begin() const { return begin_; }
-    const uint32_t* end() const { return end_; }
-    size_t size() const { return static_cast<size_t>(end_ - begin_); }
-    bool empty() const { return begin_ == end_; }
-    uint32_t operator[](size_t i) const { return begin_[i]; }
-
-   private:
-    const uint32_t* begin_;
-    const uint32_t* end_;
-  };
-
-  Span operator[](size_t node) const {
-    const uint32_t* base = slab_.data() + start_[node];
-    return Span(base, base + count_[node]);
-  }
-
-  size_t size(size_t node) const { return count_[node]; }
-  size_t num_nodes() const { return start_.size(); }
-
-  /// Sorted insert; returns true when `value` was not already present.
-  bool Insert(size_t node, uint32_t value);
-
-  /// Removes `value` if present (region shift; no compaction).
-  bool Erase(size_t node, uint32_t value);
-
-  bool Contains(size_t node, uint32_t value) const;
-
-  /// Empties `node`'s region (capacity is reclaimed at the next compact).
-  void Clear(size_t node) { count_[node] = 0; }
-
-  /// Slab compactions so far (observability for tests/benches).
-  size_t compactions() const { return compactions_; }
-
- private:
-  /// Rewrites the slab with fresh slack, guaranteeing room for one more
-  /// neighbor of `grow_node`.
-  void Compact(size_t grow_node);
-
-  std::vector<uint32_t> slab_;
-  std::vector<uint32_t> start_;  // region offsets into slab_
-  std::vector<uint32_t> count_;  // live neighbors per region
-  std::vector<uint32_t> cap_;    // region capacities
-  size_t compactions_ = 0;
-};
-
-}  // namespace internal
-
 /// The conflict graph of one schedule (or schedule projection).
 class ConflictGraph {
  public:
@@ -276,13 +202,13 @@ class ConflictGraph {
                               std::optional<size_t> op_pos);
 
   std::vector<TxnId> nodes_;
-  internal::FlatAdjacency out_;     // sorted successor indices, flat slab
-  std::vector<uint32_t> indegree_;  // by node index
+  std::vector<std::vector<uint32_t>> out_;  // sorted successor indices
+  std::vector<uint32_t> indegree_;          // by node index
   size_t num_edges_ = 0;
   CycleMode mode_ = CycleMode::kBatch;
 
   // Incremental mode state.
-  internal::FlatAdjacency in_;  // sorted predecessor indices, flat slab
+  std::vector<std::vector<uint32_t>> in_;  // sorted predecessor indices
   std::vector<uint32_t> ord_;              // node index -> online rank
   std::optional<std::pair<TxnId, TxnId>> cycle_edge_;
   std::optional<size_t> cycle_op_pos_;

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "analysis/conflict_graph.h"
 #include "common/string_util.h"
 
 namespace nse {
@@ -179,11 +180,9 @@ std::optional<std::vector<TxnId>> MvsgTopologicalOrder(
     const SearchInput& input,
     const std::vector<std::optional<TxnId>>& sources, const Schedule& schedule,
     const std::unordered_map<ItemId, ItemWrites>& writes) {
-  const size_t n = input.txns.size();
-  std::vector<std::vector<bool>> edge(n, std::vector<bool>(n, false));
-  auto add_edge = [&](TxnId from, TxnId to) {
-    if (from == to) return;
-    edge[input.index.at(from)][input.index.at(to)] = true;
+  ConflictGraph graph(input.txns);
+  auto add_edge = [&graph](TxnId from, TxnId to) {
+    if (from != to) graph.AddEdge(from, to);
   };
   // Version rank of txn i's version of `item`; the initial version ranks
   // below every written one.
@@ -211,31 +210,8 @@ std::optional<std::vector<TxnId>> MvsgTopologicalOrder(
       }
     }
   }
-  // Kahn's algorithm, smallest-id-first for a deterministic witness.
-  std::vector<size_t> indegree(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (edge[i][j]) ++indegree[j];
-    }
-  }
-  std::vector<TxnId> order;
-  std::vector<bool> emitted(n, false);
-  for (size_t round = 0; round < n; ++round) {
-    size_t pick = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (!emitted[i] && indegree[i] == 0) {
-        pick = i;
-        break;
-      }
-    }
-    if (pick == n) return std::nullopt;  // cycle
-    emitted[pick] = true;
-    order.push_back(input.txns[pick]);
-    for (size_t j = 0; j < n; ++j) {
-      if (edge[pick][j]) --indegree[j];
-    }
-  }
-  return order;
+  // Smallest-id-first topological order, the deterministic witness.
+  return graph.TopologicalOrder();
 }
 
 std::string RenderOrder(const std::vector<TxnId>& order) {

@@ -1,6 +1,8 @@
 #include "analysis/conflict_graph.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -205,48 +207,92 @@ TEST(ConflictGraphDenseSweepFuzz, DenseBuildMatchesReferenceOnRandomSchedules) {
   EXPECT_GT(cyclic, 0u);
 }
 
-// Flat-CSR adjacency differential: randomized insert/erase/clear streams
-// against a sorted-set model. Every region must stay sorted and equal to
-// its model set after every step — the graph's deterministic iteration
-// order (Edges() order, cycle witnesses, veto enumeration) rides on
-// exactly this.
-TEST(ConflictGraphDenseSweepFuzz, FlatAdjacencyMatchesSetModel) {
+/// Model of ConflictGraph::TopologicalOrder: repeatedly emit the smallest
+/// node with no in-edge from an unemitted node; nullopt when a cycle
+/// blocks.
+std::optional<std::vector<TxnId>> SmallestReadyFirst(
+    const std::vector<TxnId>& ids, std::set<std::pair<TxnId, TxnId>> edges) {
+  std::vector<TxnId> order;
+  std::set<TxnId> left(ids.begin(), ids.end());
+  while (!left.empty()) {
+    auto ready = std::find_if(left.begin(), left.end(), [&](TxnId v) {
+      return std::none_of(edges.begin(), edges.end(),
+                          [v](const auto& e) { return e.second == v; });
+    });
+    if (ready == left.end()) return std::nullopt;
+    order.push_back(*ready);
+    for (auto it = edges.begin(); it != edges.end();) {
+      it = it->first == *ready ? edges.erase(it) : std::next(it);
+    }
+    left.erase(ready);
+  }
+  return order;
+}
+
+// Adjacency differential: randomized AddEdge / RemoveEdge / RemoveEdgesOf
+// streams on an incremental graph against an edge-set model. After every
+// step the graph's edges, their Edges() order and every neighbor list must
+// match the model, and neighbor lists must be sorted — the graph's
+// deterministic iteration order (Edges() order, cycle witnesses, veto
+// enumeration) rides on exactly this. The canonical topological order and
+// the incremental cycle state are checked against the model too.
+TEST(ConflictGraphDenseSweepFuzz, AdjacencyMatchesEdgeSetModel) {
   const size_t seeds = FuzzSeedCount(12);
-  size_t compactions = 0;
+  size_t cyclic_steps = 0;
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     Rng rng(seed * 104729 + 11);
-    const size_t n = 1 + rng.NextBelow(12);
-    internal::FlatAdjacency flat(n);
-    std::vector<std::set<uint32_t>> model(n);
+    const size_t n = 2 + rng.NextBelow(11);
+    // Sparse ids, so index/id mix-ups cannot cancel out.
+    std::vector<TxnId> ids;
+    for (size_t i = 0; i < n; ++i) {
+      ids.push_back(static_cast<TxnId>(3 * i + 2));
+    }
+    ConflictGraph graph(ids, CycleMode::kIncremental);
+    std::set<std::pair<TxnId, TxnId>> model;
     for (size_t step = 0; step < 40 * n; ++step) {
-      const size_t node = rng.NextBelow(n);
-      const uint32_t value = static_cast<uint32_t>(rng.NextBelow(n + 4));
+      const TxnId from = ids[rng.NextBelow(n)];
+      const TxnId to = ids[rng.NextBelow(n)];
+      if (from == to) continue;
       const double flavour = rng.NextDouble();
-      if (flavour < 0.55) {
-        ASSERT_EQ(flat.Insert(node, value), model[node].insert(value).second)
+      if (flavour < 0.6) {
+        ASSERT_EQ(graph.AddEdge(from, to), model.emplace(from, to).second)
             << "seed " << seed << " step " << step;
-      } else if (flavour < 0.85) {
-        ASSERT_EQ(flat.Erase(node, value), model[node].erase(value) > 0)
-            << "seed " << seed << " step " << step;
-      } else if (flavour < 0.95) {
-        ASSERT_EQ(flat.Contains(node, value), model[node].count(value) > 0)
+      } else if (flavour < 0.9) {
+        ASSERT_EQ(graph.RemoveEdge(from, to), model.erase({from, to}) > 0)
             << "seed " << seed << " step " << step;
       } else {
-        flat.Clear(node);
-        model[node].clear();
+        graph.RemoveEdgesOf(from);
+        for (auto it = model.begin(); it != model.end();) {
+          it = it->first == from || it->second == from ? model.erase(it)
+                                                       : std::next(it);
+        }
       }
-      for (size_t v = 0; v < n; ++v) {
-        ASSERT_EQ(flat.size(v), model[v].size()) << "seed " << seed;
-        std::vector<uint32_t> got(flat[v].begin(), flat[v].end());
-        std::vector<uint32_t> want(model[v].begin(), model[v].end());
-        ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+      ASSERT_EQ(graph.num_edges(), model.size()) << "seed " << seed;
+      const std::vector<std::pair<TxnId, TxnId>> want(model.begin(),
+                                                      model.end());
+      ASSERT_EQ(graph.Edges(), want) << "seed " << seed << " step " << step;
+      for (TxnId u : ids) {
+        std::vector<TxnId> succ;
+        std::vector<TxnId> pred;
+        for (TxnId v : ids) {
+          ASSERT_EQ(graph.HasEdge(u, v), model.count({u, v}) > 0)
+              << "seed " << seed << " step " << step;
+          if (model.count({u, v}) > 0) succ.push_back(v);
+          if (model.count({v, u}) > 0) pred.push_back(v);
+        }
+        ASSERT_EQ(graph.Successors(u), succ) << "seed " << seed;
+        ASSERT_EQ(graph.Predecessors(u), pred) << "seed " << seed;
       }
+      const std::optional<std::vector<TxnId>> order =
+          SmallestReadyFirst(ids, model);
+      ASSERT_EQ(graph.TopologicalOrder(), order) << "seed " << seed;
+      ASSERT_EQ(graph.has_cycle(), !order.has_value()) << "seed " << seed;
+      if (graph.has_cycle()) ++cyclic_steps;
     }
-    compactions += flat.compactions();
   }
-  // The streams must have overflowed regions, or the slab-compaction path
-  // (the interesting one) went unexercised.
-  EXPECT_GT(compactions, 0u);
+  // The streams must have closed (and re-broken) cycles, or the suspended-
+  // order path the removals re-anchor went unexercised.
+  EXPECT_GT(cyclic_steps, 0u);
 }
 
 }  // namespace
