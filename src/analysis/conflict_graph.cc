@@ -58,13 +58,21 @@ void ConflictAccessIndex::Record(uint32_t accessor, bool is_write,
                                  ItemId item) {
   if (item >= history_.size()) history_.resize(item + 1);
   ItemHistory& h = history_[item];
-  if (TestAndSetBit(is_write ? h.writer_bits : h.reader_bits, accessor)) {
-    (is_write ? h.writers : h.readers).push_back(accessor);
+  if (!TestAndSetBit(is_write ? h.writer_bits : h.reader_bits, accessor)) {
+    return;
+  }
+  (is_write ? h.writers : h.readers).push_back(accessor);
+  // First touch of the item in either role: remember it for Erase.
+  if (!TestBit(is_write ? h.reader_bits : h.writer_bits, accessor)) {
+    if (accessor >= touched_.size()) touched_.resize(accessor + 1);
+    touched_[accessor].push_back(item);
   }
 }
 
 void ConflictAccessIndex::Erase(uint32_t accessor) {
-  for (ItemHistory& h : history_) {
+  if (accessor >= touched_.size()) return;
+  for (ItemId item : touched_[accessor]) {
+    ItemHistory& h = history_[item];
     if (TestBit(h.writer_bits, accessor)) {
       ClearBit(h.writer_bits, accessor);
       h.writers.erase(
@@ -77,16 +85,26 @@ void ConflictAccessIndex::Erase(uint32_t accessor) {
           std::remove(h.readers.begin(), h.readers.end(), accessor),
           h.readers.end());
     }
-    // Debug-only retraction audit: membership bit and list must agree —
-    // a surviving list entry here would resurrect the retracted txn's
-    // conflicts on the next ForEachConflict.
-    NSE_DCHECK_MSG(std::find(h.writers.begin(), h.writers.end(), accessor) ==
-                           h.writers.end() &&
-                       std::find(h.readers.begin(), h.readers.end(),
-                                 accessor) == h.readers.end(),
-                   "access-index entries for retracted txn %u survived",
-                   accessor);
   }
+  touched_[accessor].clear();  // keeps its capacity for the handle's reuse
+  // A surviving list entry would resurrect the retracted accessor's
+  // conflicts on the next ForEachConflict.
+  NSE_DCHECK_MSG(NoHistoryLists(accessor),
+                 "access-index entries for retracted accessor %u survived",
+                 accessor);
+}
+
+bool ConflictAccessIndex::NoHistoryLists(uint32_t accessor) const {
+  for (const ItemHistory& h : history_) {
+    if (TestBit(h.writer_bits, accessor) || TestBit(h.reader_bits, accessor) ||
+        std::find(h.writers.begin(), h.writers.end(), accessor) !=
+            h.writers.end() ||
+        std::find(h.readers.begin(), h.readers.end(), accessor) !=
+            h.readers.end()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 ConflictGraph::ConflictGraph(std::vector<TxnId> nodes, CycleMode mode)
@@ -102,9 +120,8 @@ ConflictGraph::ConflictGraph(std::vector<TxnId> nodes, CycleMode mode)
     in_.resize(nodes_.size());
     ord_.resize(nodes_.size());
     // Any order over an edgeless graph is topological; start at identity.
-    for (size_t i = 0; i < ord_.size(); ++i) {
-      ord_[i] = static_cast<uint32_t>(i);
-    }
+    for (size_t i = 0; i < ord_.size(); ++i) ord_[i] = i;
+    next_rank_ = ord_.size();
     mark_.assign(nodes_.size(), 0);
     parent_.assign(nodes_.size(), UINT32_MAX);
   }
@@ -184,8 +201,8 @@ void ConflictGraph::MaintainOrder(uint32_t x, uint32_t y,
   // Pearce–Kelly: the order is violated only when ord(y) <= ord(x); the
   // affected region is the open interval of ranks (ord(y), ord(x)).
   if (ord_[x] < ord_[y]) return;
-  const uint32_t lb = ord_[y];
-  const uint32_t ub = ord_[x];
+  const uint64_t lb = ord_[y];
+  const uint64_t ub = ord_[x];
 
   // Forward search from y over nodes with ord <= ub. Finding x closes the
   // first cycle: record the edge, a witness walked back over the DFS
@@ -247,7 +264,7 @@ void ConflictGraph::MaintainOrder(uint32_t x, uint32_t y,
   auto by_ord = [this](uint32_t a, uint32_t b) { return ord_[a] < ord_[b]; };
   std::sort(delta_b.begin(), delta_b.end(), by_ord);
   std::sort(delta_f.begin(), delta_f.end(), by_ord);
-  std::vector<uint32_t> pool;
+  std::vector<uint64_t> pool;
   pool.reserve(delta_b.size() + delta_f.size());
   for (uint32_t node : delta_b) pool.push_back(ord_[node]);
   for (uint32_t node : delta_f) pool.push_back(ord_[node]);
@@ -269,8 +286,8 @@ void ConflictGraph::RebuildOrderAndCycle() {
   for (uint32_t i = 0; i < nodes_.size(); ++i) {
     if (indegree[i] == 0) ready.push_back(i);
   }
-  uint32_t rank = 0;
-  std::vector<uint32_t> order(nodes_.size(), UINT32_MAX);
+  uint64_t rank = 0;
+  std::vector<uint64_t> order(nodes_.size(), UINT64_MAX);
   while (!ready.empty()) {
     uint32_t node = ready.back();
     ready.pop_back();
@@ -281,6 +298,7 @@ void ConflictGraph::RebuildOrderAndCycle() {
   }
   if (rank == nodes_.size()) {
     ord_ = std::move(order);
+    next_rank_ = rank;
     cycle_.reset();
     cycle_edge_.reset();
     cycle_op_pos_.reset();
@@ -324,6 +342,10 @@ void ConflictGraph::RemoveEdgesOf(TxnId txn) {
   out_[idx].clear();
   in_[idx].clear();
   indegree_[idx] = 0;
+  // Any rank is valid for an edgeless node. Ranking it last lets the
+  // in-edges a recycled node gains from older nodes take the O(1) path of
+  // MaintainOrder instead of an affected-region search.
+  ord_[idx] = next_rank_++;
   NSE_DCHECK_MSG(NoEdgesReference(idx),
                  "edges referencing retracted txn %u survived", txn);
   topo_valid_ = false;
@@ -362,6 +384,10 @@ std::vector<TxnId> ConflictGraph::Successors(TxnId txn) const {
   out.reserve(succ.size());
   for (uint32_t idx : succ) out.push_back(nodes_[idx]);
   return out;
+}
+
+uint32_t ConflictGraph::InDegree(TxnId txn) const {
+  return indegree_[IndexOf(txn)];
 }
 
 bool ConflictGraph::has_cycle() const {

@@ -91,7 +91,9 @@ class ConflictGraph {
   bool RemoveEdge(TxnId from, TxnId to);
 
   /// Removes every in- and out-edge of `txn` (incremental mode only) — the
-  /// deadlock-victim abort path.
+  /// deadlock-victim abort path. The now-isolated node is ranked after
+  /// every other node in the online order, so a reused node's in-edges
+  /// from older nodes cost O(1) to order.
   void RemoveEdgesOf(TxnId txn);
 
   // ---- incremental cycle state (kIncremental) --------------------------
@@ -145,6 +147,9 @@ class ConflictGraph {
   /// SgtPolicy's incremental committed-node trim walks these to find the
   /// nodes a retraction may have freed.
   std::vector<TxnId> Successors(TxnId txn) const;
+
+  /// Number of direct predecessors of `txn`, without materializing them.
+  uint32_t InDegree(TxnId txn) const;
 
   /// True iff the edge from → to is present.
   bool HasEdge(TxnId from, TxnId to) const;
@@ -209,7 +214,8 @@ class ConflictGraph {
 
   // Incremental mode state.
   std::vector<std::vector<uint32_t>> in_;  // sorted predecessor indices
-  std::vector<uint32_t> ord_;              // node index -> online rank
+  std::vector<uint64_t> ord_;              // node index -> online rank
+  uint64_t next_rank_ = 0;                 // above every rank in ord_
   std::optional<std::pair<TxnId, TxnId>> cycle_edge_;
   std::optional<size_t> cycle_op_pos_;
   std::optional<std::vector<TxnId>> cycle_;
@@ -255,24 +261,35 @@ class ConflictAccessIndex {
   /// Records the access into the item's history (repeat accesses dedupe).
   void Record(uint32_t accessor, bool is_write, ItemId item);
 
-  /// Erases `accessor` from every item history — the abort-retraction
-  /// counterpart of ConflictGraph::RemoveEdgesOf.
+  /// Erases `accessor` from every item history it touched — the
+  /// abort-retraction counterpart of ConflictGraph::RemoveEdgesOf. Costs
+  /// O(the accessor's distinct items × their accessor lists), independent
+  /// of the catalog size; the handle is free for reuse afterwards.
   void Erase(uint32_t accessor);
 
   /// Drops all histories.
-  void Clear() { history_.clear(); }
+  void Clear() {
+    history_.clear();
+    touched_.clear();
+  }
 
  private:
+  /// Debug-only retraction audit: true iff no item history still lists
+  /// `accessor`. O(catalog); only called from NSE_DCHECK in Erase.
+  bool NoHistoryLists(uint32_t accessor) const;
+
   struct ItemHistory {
     std::vector<uint32_t> writers;  // distinct accessors, insertion order
     std::vector<uint32_t> readers;
     // Membership bitsets over accessor handles (64-bit words, lazily
-    // grown): Record dedupes with one test-and-set instead of a list scan,
-    // Erase skips items the accessor never touched.
+    // grown): Record dedupes with one test-and-set instead of a list scan.
     std::vector<uint64_t> writer_bits;
     std::vector<uint64_t> reader_bits;
   };
   std::vector<ItemHistory> history_;
+  /// Accessor handle -> the distinct items it recorded, in first-access
+  /// order: Erase visits exactly these instead of the whole catalog.
+  std::vector<std::vector<ItemId>> touched_;
 };
 
 namespace internal {

@@ -141,8 +141,8 @@ void StreamingChecker::FeedCommit(TxnId txn, size_t event_index) {
     if (slot_it == plane.slot_of.end()) continue;  // no tracked ops
     const uint32_t slot = slot_it->second;
     plane.slots[slot].committed = true;
-    plane.committed_slots.push_back(slot);
     ++plane.committed_retained;
+    if (plane.graph.InDegree(slot) == 0) plane.evictable.push_back(slot);
     if (plane.graph.has_cycle() && CommittedCycleThrough(plane, slot)) {
       LatchViolation(plane, event_index);
       continue;
@@ -180,7 +180,7 @@ uint32_t StreamingChecker::EnsureSlot(Plane& plane, TxnId txn) {
   if (plane.free_slots.empty()) GrowPlane(plane);
   const uint32_t slot = plane.free_slots.back();
   plane.free_slots.pop_back();
-  plane.slots[slot] = SlotInfo{txn, /*live=*/true, /*committed=*/false};
+  plane.slots[slot] = SlotInfo{txn, /*committed=*/false};
   plane.slot_of.emplace(txn, slot);
   ++plane.occupied;
   stats_.peak_retained = std::max(stats_.peak_retained, plane.occupied);
@@ -218,10 +218,17 @@ void StreamingChecker::RetireSlot(Plane& plane, uint32_t slot) {
   for (TxnId pred : plane.graph.Predecessors(slot)) {
     plane.edge_meta.erase(EdgeKey(static_cast<uint32_t>(pred), slot));
   }
-  for (TxnId succ : plane.graph.Successors(slot)) {
+  const std::vector<TxnId> successors = plane.graph.Successors(slot);
+  for (TxnId succ : successors) {
     plane.edge_meta.erase(EdgeKey(slot, static_cast<uint32_t>(succ)));
   }
   plane.graph.RemoveEdgesOf(slot);
+  // A committed successor whose last in-edge this was becomes evictable.
+  for (TxnId succ : successors) {
+    if (plane.slots[succ].committed && plane.graph.InDegree(succ) == 0) {
+      plane.evictable.push_back(static_cast<uint32_t>(succ));
+    }
+  }
   plane.access.Erase(slot);
   plane.slot_of.erase(plane.slots[slot].txn);
   if (plane.slots[slot].committed) --plane.committed_retained;
@@ -231,31 +238,16 @@ void StreamingChecker::RetireSlot(Plane& plane, uint32_t slot) {
 }
 
 void StreamingChecker::EvictionSweep(Plane& plane) {
-  // A committed slot with no in-edges can never lie on a future cycle
-  // (its in-degree is frozen); retire such slots, cascading — each
-  // retirement can free the slots it pointed at.
-  bool progress = true;
-  while (plane.committed_retained > options_.window && progress) {
-    progress = false;
-    for (size_t i = 0; i < plane.committed_slots.size();) {
-      const uint32_t slot = plane.committed_slots[i];
-      if (!plane.slots[slot].live || !plane.slots[slot].committed) {
-        // Stale entry (retired by an earlier cascade pass).
-        plane.committed_slots[i] = plane.committed_slots.back();
-        plane.committed_slots.pop_back();
-        continue;
-      }
-      if (plane.graph.Predecessors(slot).empty()) {
-        RetireSlot(plane, slot);
-        ++stats_.evictions;
-        progress = true;
-        plane.committed_slots[i] = plane.committed_slots.back();
-        plane.committed_slots.pop_back();
-        if (plane.committed_retained <= options_.window) return;
-        continue;
-      }
-      ++i;
-    }
+  // Every worklist slot is committed with zero in-degree, which is final,
+  // so it can never lie on a future cycle. Retiring one can push the
+  // committed successors it freed, so the sweep cascades.
+  while (plane.committed_retained > options_.window &&
+         !plane.evictable.empty()) {
+    const uint32_t slot = plane.evictable.back();
+    plane.evictable.pop_back();
+    NSE_DCHECK(plane.slots[slot].committed && plane.graph.InDegree(slot) == 0);
+    RetireSlot(plane, slot);
+    ++stats_.evictions;
   }
 }
 
@@ -272,7 +264,7 @@ bool StreamingChecker::CommittedCycleThrough(const Plane& plane,
     for (TxnId succ : plane.graph.Successors(u)) {
       const uint32_t v = static_cast<uint32_t>(succ);
       if (v == slot) return true;
-      if (!visited[v] && plane.slots[v].live && plane.slots[v].committed) {
+      if (!visited[v] && plane.slots[v].committed) {
         visited[v] = true;
         stack.push_back(v);
       }
@@ -308,7 +300,7 @@ void StreamingChecker::LatchViolation(Plane& plane, size_t event_index) {
   plane.slots.clear();
   plane.free_slots.clear();
   plane.edge_meta.clear();
-  plane.committed_slots.clear();
+  plane.evictable.clear();
   plane.committed_retained = 0;
   plane.occupied = 0;
 }

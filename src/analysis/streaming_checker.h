@@ -18,13 +18,26 @@
 // committed v issues no more operations. So a committed transaction with
 // zero in-degree in the live graph can never lie on any future cycle, and
 // retiring it (edges, access-index entries, slot) is sound AND complete:
-// no verdict ever changes because of an eviction. When a plane retains
-// more than `window` committed transactions, such transactions are swept
-// out (cascading — each removal can free its successors). Retained
-// memory is therefore bounded by the active transactions plus the
-// committed ones they transitively pin, not by log length. Conversely a
-// transaction pinned by an in-edge from a live predecessor stays until
-// the predecessor resolves — the concurrent-overlap term of the bound.
+// no verdict ever changes because of an eviction. Each plane keeps a
+// worklist of exactly those transactions. A slot enters it once, at its
+// commit if it has no in-edge, or when a retirement removes its last
+// in-edge (its in-degree only falls). When a plane retains more than
+// `window` committed transactions, the sweep pops the worklist until the
+// plane is back at the window or the worklist is empty; each retirement
+// can push the successors it freed. A retirement costs O(the slot's
+// degree and distinct items): no pass over the retained slots, none over
+// the catalog. Which worklist slot goes first does not change any count.
+// A committed slot is pinned exactly while some active transaction
+// reaches it, and in an acyclic graph the cascade reaches every unpinned
+// one. An unpinned slot gains no in-edge, so it never becomes pinned, and
+// keeping it instead of another adds only out-edges from an unpinned
+// slot, which pin nothing. So every sweep retires min(excess, unpinned)
+// slots whatever the order, and the evictions, retention and
+// slot-capacity rebuilds follow. Retained memory is therefore bounded by
+// the active transactions plus the committed ones they transitively pin,
+// not by log length. Conversely a transaction pinned by an in-edge from a
+// live predecessor stays until the predecessor resolves — the
+// concurrent-overlap term of the bound.
 //
 // Violations fire only at commit events: a new edge always points INTO
 // the operating (hence active) transaction, so a committed-only cycle can
@@ -154,9 +167,9 @@ class StreamingChecker {
     size_t event = 0;
   };
 
+  /// A free slot is SlotInfo{}; a retired one is reset to it.
   struct SlotInfo {
     TxnId txn = 0;
-    bool live = false;
     bool committed = false;
   };
 
@@ -171,8 +184,10 @@ class StreamingChecker {
     std::vector<uint32_t> free_slots;
     /// Edge metadata keyed by (from_slot << 32) | to_slot.
     std::unordered_map<uint64_t, EdgeMeta> edge_meta;
-    /// Live committed slots — the eviction sweep's worklist.
-    std::vector<uint32_t> committed_slots;
+    /// Committed slots with zero in-degree — the eviction worklist. A
+    /// committed slot's in-degree only falls, so each slot is pushed once:
+    /// at its commit, or when RetireSlot removes its last in-edge.
+    std::vector<uint32_t> evictable;
     size_t committed_retained = 0;
     size_t occupied = 0;
 

@@ -130,6 +130,35 @@ TEST(ConflictGraphIncrementalTest, VictimRemovalBreaksOnlyItsCycles) {
   ExpectValidTopoOrder(g, g.OnlineTopologicalOrder());
 }
 
+TEST(ConflictGraphIncrementalTest, RetractedNodeIsRankedLast) {
+  // An edgeless node may take any rank; RemoveEdgesOf ranks it after every
+  // other node, so in-edges it then gains from older nodes already agree
+  // with the order.
+  ConflictGraph g(Nodes(5), CycleMode::kIncremental);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 3);
+  g.AddEdge(3, 4);
+  g.AddEdge(4, 5);
+  g.AddEdge(1, 5);
+  g.RemoveEdgesOf(2);
+  ASSERT_FALSE(g.has_cycle());
+  std::vector<TxnId> order = g.OnlineTopologicalOrder();
+  ExpectValidTopoOrder(g, order);
+  EXPECT_EQ(order.back(), 2u);
+
+  // Reused as a fresh node: edges into it keep it last, and a second
+  // retraction moves the other node behind it.
+  g.AddEdge(5, 2);
+  g.AddEdge(3, 2);
+  order = g.OnlineTopologicalOrder();
+  ExpectValidTopoOrder(g, order);
+  EXPECT_EQ(order.back(), 2u);
+  g.RemoveEdgesOf(4);
+  order = g.OnlineTopologicalOrder();
+  ExpectValidTopoOrder(g, order);
+  EXPECT_EQ(order.back(), 4u);
+}
+
 TEST(ConflictGraphIncrementalTest, EdgesInsertedWhileCyclicSurviveRepair) {
   ConflictGraph g(Nodes(4), CycleMode::kIncremental);
   g.AddEdge(1, 2);

@@ -161,6 +161,70 @@ TEST(ConflictAccessIndexTest, EraseIsIdempotent) {
   EXPECT_EQ(conflicts_for(index, 9), (std::vector<uint32_t>{3, 1, 2}));
 }
 
+/// Every prior accessor a write of `item` by a fresh accessor conflicts
+/// with, in emission order.
+std::vector<uint32_t> WriteConflicts(const ConflictAccessIndex& index,
+                                     ItemId item) {
+  std::vector<uint32_t> out;
+  index.ForEachConflict(/*accessor=*/999, /*is_write=*/true, item,
+                        [&](uint32_t prior) { out.push_back(prior); });
+  return out;
+}
+
+TEST(ConflictAccessIndexTest, EraseRemovesReaderAndWriterOfOneItem) {
+  ConflictAccessIndex index;
+  index.Record(1, /*is_write=*/false, 0);
+  index.Record(1, /*is_write=*/true, 0);  // same item, now also a writer
+  index.Record(2, /*is_write=*/false, 0);
+  // 1 is both a prior writer and a prior reader of the item.
+  EXPECT_EQ(WriteConflicts(index, 0), (std::vector<uint32_t>{1, 1, 2}));
+
+  index.Erase(1);
+  EXPECT_EQ(WriteConflicts(index, 0), (std::vector<uint32_t>{2}));
+  std::vector<uint32_t> read_conflicts;
+  index.ForEachConflict(9, /*is_write=*/false, 0, [&](uint32_t prior) {
+    read_conflicts.push_back(prior);
+  });
+  EXPECT_TRUE(read_conflicts.empty()) << "the erased writer survived";
+}
+
+TEST(ConflictAccessIndexTest, ReusedHandleStartsFromItsNewFootprint) {
+  ConflictAccessIndex index;
+  index.Record(1, /*is_write=*/true, 0);
+  index.Record(1, /*is_write=*/false, 1);
+  index.Record(2, /*is_write=*/true, 1);
+  index.Record(3, /*is_write=*/false, 0);
+  index.Erase(1);
+
+  // Slot reuse: the handle records a new transaction's accesses.
+  index.Record(1, /*is_write=*/false, 2);
+  index.Record(1, /*is_write=*/true, 1);
+  index.Record(4, /*is_write=*/true, 2);
+  EXPECT_EQ(WriteConflicts(index, 0), (std::vector<uint32_t>{3}));
+  EXPECT_EQ(WriteConflicts(index, 1), (std::vector<uint32_t>{2, 1}));
+  EXPECT_EQ(WriteConflicts(index, 2), (std::vector<uint32_t>{4, 1}));
+
+  // A second erase retracts the new footprint and only that.
+  index.Erase(1);
+  EXPECT_EQ(WriteConflicts(index, 0), (std::vector<uint32_t>{3}));
+  EXPECT_EQ(WriteConflicts(index, 1), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(WriteConflicts(index, 2), (std::vector<uint32_t>{4}));
+}
+
+TEST(ConflictAccessIndexTest, EraseOfHandleAboveEveryRecordedOneIsANoOp) {
+  ConflictAccessIndex index;
+  index.Record(1, /*is_write=*/true, 0);
+  index.Record(2, /*is_write=*/false, 3);
+  index.Erase(100'000);
+  EXPECT_EQ(WriteConflicts(index, 0), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(WriteConflicts(index, 3), (std::vector<uint32_t>{2}));
+
+  index.Record(100'000, /*is_write=*/true, 3);
+  EXPECT_EQ(WriteConflicts(index, 3), (std::vector<uint32_t>{100'000, 2}));
+  index.Erase(100'000);
+  EXPECT_EQ(WriteConflicts(index, 3), (std::vector<uint32_t>{2}));
+}
+
 // Dense-sweep differential: the bitset fast path behind Build must be
 // bit-identical to the reference vector sweep — same edges inserted in the
 // same order, hence the same first cycle edge, witnesses, topological

@@ -205,6 +205,33 @@ TEST(StreamingCheckerTest, EvictionKeepsDetectionWithTinyWindow) {
   EXPECT_LE(report.stats.peak_retained, 8u);
 }
 
+TEST(StreamingCheckerTest, AbortOfPinningPredecessorMakesSlotEvictable) {
+  // T2 commits while pinned by an in-edge from the active T1. T1's abort
+  // removes that edge, which is the only moment T2 becomes evictable, so
+  // T3's commit past the window of 1 must evict T2, and T4's commit then
+  // T3 (freed by T2's retirement).
+  History h = FromText(
+      "{\"type\":\"begin\",\"txn\":1}\n"
+      "{\"type\":\"write\",\"txn\":1,\"item\":\"x\",\"value\":1}\n"
+      "{\"type\":\"begin\",\"txn\":2}\n"
+      "{\"type\":\"read\",\"txn\":2,\"item\":\"x\",\"value\":1}\n"
+      "{\"type\":\"commit\",\"txn\":2}\n"
+      "{\"type\":\"abort\",\"txn\":1}\n"
+      "{\"type\":\"begin\",\"txn\":3}\n"
+      "{\"type\":\"write\",\"txn\":3,\"item\":\"x\",\"value\":3}\n"
+      "{\"type\":\"commit\",\"txn\":3}\n"
+      "{\"type\":\"begin\",\"txn\":4}\n"
+      "{\"type\":\"write\",\"txn\":4,\"item\":\"x\",\"value\":4}\n"
+      "{\"type\":\"commit\",\"txn\":4}\n");
+  StreamingOptions options;
+  options.window = 1;
+  StreamingReport report = CheckAgainstBatch(h, options);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.stats.evictions, 2u);
+  EXPECT_EQ(report.stats.peak_retained, 2u);
+  EXPECT_EQ(report.stats.retained, 1u);
+}
+
 TEST(StreamingCheckerTest, WitnessMatchesBatchWhenEarlierCycleCommitsLast) {
   // T1/T2 build the log-order-first cycle on x but commit LAST; T3/T4
   // cycle on y and commit first. Streaming latches at T4's commit, but
