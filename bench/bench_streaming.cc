@@ -22,7 +22,10 @@
 // The speedup row materializes a smaller lane log and times the streaming
 // pass against the batch plane (CommittedProjection → AnalysisContext) on
 // the same history, asserting verdict agreement first — the differential
-// contract from the test suite, re-checked at bench scale.
+// contract from the test suite, re-checked at bench scale. The
+// parse_vs_stream row serializes that log, asserts ParseHistory gives it
+// back event for event, and guards streaming wall ÷ parse wall: the share
+// of an `nse_check` pass the parser costs next to the checker.
 //
 // --smoke runs tiny streams with all the asserts and no JSON; the full
 // run writes BENCH_streaming.json (override the path with the last
@@ -39,6 +42,7 @@
 #include "common/rng.h"
 #include "history/batch_check.h"
 #include "history/history.h"
+#include "history/history_io.h"
 #include "state/database.h"
 
 namespace nse {
@@ -210,14 +214,17 @@ StreamRow RunStreamRow(const std::string& name, const LaneConfig& config,
   return row;
 }
 
-/// Materializes a smaller lane log and times streaming vs the batch plane
-/// on the identical history, asserting the differential contract first.
-StreamRow RunSpeedupRow(const LaneConfig& config, size_t window) {
+History LaneHistory(const LaneConfig& config) {
   History h;
   h.db = LaneCatalog(config);
   EmitLaneStream(config, h.db,
                  [&](const HistoryEvent& event) { h.events.push_back(event); });
+  return h;
+}
 
+/// Times streaming vs the batch plane on the identical history, asserting
+/// the differential contract first.
+StreamRow RunSpeedupRow(const History& h, size_t window) {
   auto start = std::chrono::steady_clock::now();
   StreamingOptions options;
   options.window = window;
@@ -244,6 +251,46 @@ StreamRow RunSpeedupRow(const LaneConfig& config, size_t window) {
   row.ratio_name = "speedup_vs_batch";
   row.ratio = batch_ms / streaming_ms;
   row.batch_ms = batch_ms;
+  return row;
+}
+
+struct ParseTimes {
+  double parse_ms = 0;   ///< best of three ParseHistory walls
+  double stream_ms = 0;  ///< best of three streaming passes
+};
+
+/// Serializes `h`, checks the parse reproduces it event for event (item
+/// ids may differ: the parser numbers items by first appearance), then
+/// times ParseHistory against a streaming pass over the same log.
+ParseTimes RunParseRow(const History& h, size_t window) {
+  const std::string text = SerializeHistory(h);
+  Result<History> parsed = ParseHistory(text);
+  NSE_CHECK_MSG(parsed.ok(), "%s", parsed.status().ToString().c_str());
+  NSE_CHECK(parsed->events.size() == h.events.size());
+  for (size_t i = 0; i < h.events.size(); ++i) {
+    const HistoryEvent& a = h.events[i];
+    const HistoryEvent& b = parsed->events[i];
+    NSE_CHECK(a.type == b.type && a.txn == b.txn && a.value == b.value &&
+              a.read_from == b.read_from);
+    if (a.type == HistoryEventType::kRead ||
+        a.type == HistoryEventType::kWrite) {
+      NSE_CHECK(h.db.NameOf(a.item) == parsed->db.NameOf(b.item));
+    }
+  }
+
+  ParseTimes row;
+  StreamingOptions options;
+  options.window = window;
+  for (int rep = 0; rep < 3; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    NSE_CHECK(ParseHistory(text).ok());
+    const double parse_ms = bench::MsSince(start);
+    start = std::chrono::steady_clock::now();
+    NSE_CHECK(CheckHistoryStreaming(h, options).ok());
+    const double stream_ms = bench::MsSince(start);
+    if (rep == 0 || parse_ms < row.parse_ms) row.parse_ms = parse_ms;
+    if (rep == 0 || stream_ms < row.stream_ms) row.stream_ms = stream_ms;
+  }
   return row;
 }
 
@@ -305,8 +352,16 @@ int main(int argc, char** argv) {
   catalog_config.items_per_lane = 2048;
   rows.push_back(RunStreamRow("lane_stream", catalog_config, 64, 0));
   relative_to(rows.back(), "catalog_16k_vs_4k", catalog_4k);
-  rows.push_back(RunSpeedupRow(speedup_config, 64));
+  const History speedup_log = LaneHistory(speedup_config);
+  rows.push_back(RunSpeedupRow(speedup_log, 64));
   for (const StreamRow& row : rows) PrintRow(row);
+  const ParseTimes parse = RunParseRow(speedup_log, 64);
+  std::printf(
+      "%-22s items %-5zu window %-5d          | %9zu events | parse %.1f ms "
+      "stream %.1f ms | parse_vs_stream %.3f\n",
+      "parse_vs_stream", speedup_log.db.num_items(), 64,
+      speedup_log.events.size(), parse.parse_ms, parse.stream_ms,
+      parse.stream_ms / parse.parse_ms);
 
   if (args.smoke) {
     std::printf("smoke ok\n");
@@ -333,5 +388,13 @@ int main(int argc, char** argv) {
     out.Info("ops_per_s", bench::JsonValue(row.ops_per_s, 0))
         .Info("wall_ms", row.wall_ms);
   }
+  report.AddRow()
+      .Key("case", "parse_vs_stream")
+      .Key("items", speedup_log.db.num_items())
+      .Key("window", 64)
+      .Exact("events", speedup_log.events.size())
+      .Ratio("parse_vs_stream", parse.stream_ms / parse.parse_ms)
+      .Info("parse_ms", parse.parse_ms)
+      .Info("stream_ms", parse.stream_ms);
   return report.Write(args.json_path) ? 0 : 1;
 }

@@ -1,11 +1,10 @@
 #include "history/history_io.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/string_util.h"
@@ -13,7 +12,7 @@
 namespace nse {
 namespace {
 
-// ---- minimal strict JSON for one flat object per line -----------------------
+// ---- one flat JSON object per line, decoded into the format's keys ---------
 //
 // The format only ever uses flat objects whose values are integers,
 // booleans, or strings, so the scanner below supports exactly that; nested
@@ -27,27 +26,54 @@ struct JsonValue {
   std::string string_value;
 };
 
+/// The format's keys: a scanned line holds one slot per key.
+enum Key : uint32_t { kType, kVersion, kTxn, kItem, kValue, kFrom, kNumKeys };
+constexpr std::string_view kKeyNames[kNumKeys] = {"type",  "v",     "txn",
+                                                  "item",  "value", "from"};
+
+constexpr uint32_t Bit(uint32_t key) { return 1u << key; }
+
+/// Keys each line type may carry.
+constexpr uint32_t kHeaderKeys = Bit(kType) | Bit(kVersion);
+constexpr uint32_t kTxnKeys = Bit(kType) | Bit(kTxn);
+constexpr uint32_t kWriteKeys = kTxnKeys | Bit(kItem) | Bit(kValue);
+constexpr uint32_t kReadKeys = kWriteKeys | Bit(kFrom);
+
+/// Scans one line into the key slots. Keys outside the format are kept by
+/// name, so a repeated one is still a duplicate and the unknown-key check
+/// can name the first offender in line order. The slots' buffers are
+/// reused from line to line.
 class LineScanner {
  public:
-  explicit LineScanner(std::string_view text) : text_(text) {}
-
-  Status ParseObject(std::vector<std::pair<std::string, JsonValue>>* out) {
+  Status Scan(std::string_view text) {
+    text_ = text;
+    pos_ = 0;
+    present_ = 0;
+    order_.clear();
+    unknown_.clear();
     SkipSpace();
     if (!Consume('{')) return Err("expected '{'");
     SkipSpace();
     if (Consume('}')) return Finish();
     while (true) {
-      std::string key;
-      NSE_RETURN_IF_ERROR(ParseString(&key));
+      NSE_RETURN_IF_ERROR(ParseString(&key_));
       SkipSpace();
       if (!Consume(':')) return Err("expected ':' after key");
-      JsonValue value;
-      NSE_RETURN_IF_ERROR(ParseValue(&value));
-      for (const auto& [existing, unused] : *out) {
-        (void)unused;
-        if (existing == key) return Err(StrCat("duplicate key \"", key, "\""));
+      uint32_t key = 0;
+      while (key < kNumKeys && kKeyNames[key] != key_) ++key;
+      if (key < kNumKeys) {
+        NSE_RETURN_IF_ERROR(ParseValue(&slots_[key]));
+        if (present_ & Bit(key)) return DuplicateKey();
+        present_ |= Bit(key);
+      } else {
+        NSE_RETURN_IF_ERROR(ParseValue(&unknown_value_));
+        for (const std::string& seen : unknown_) {
+          if (seen == key_) return DuplicateKey();
+        }
+        key = kNumKeys + static_cast<uint32_t>(unknown_.size());
+        unknown_.push_back(key_);
       }
-      out->emplace_back(std::move(key), std::move(value));
+      order_.push_back(key);
       SkipSpace();
       if (Consume(',')) {
         SkipSpace();
@@ -58,12 +84,42 @@ class LineScanner {
     }
   }
 
+  bool Has(Key key) const { return (present_ & Bit(key)) != 0; }
+  const JsonValue& operator[](Key key) const { return slots_[key]; }
+
+  /// Fails unless `key` is present and holds a `kind` value.
+  Status Require(Key key, JsonValue::Kind kind) const {
+    if (!Has(key)) {
+      return Status::InvalidArgument(
+          StrCat("missing field \"", kKeyNames[key], "\""));
+    }
+    if (slots_[key].kind != kind) {
+      return Status::InvalidArgument(
+          StrCat("field \"", kKeyNames[key], "\" must be ",
+                 kind == JsonValue::Kind::kInt ? "an integer" : "a string"));
+    }
+    return Status::Ok();
+  }
+
+  /// Fails on the first key, in line order, outside `allowed`.
+  Status RejectUnknown(uint32_t allowed) const {
+    for (uint32_t key : order_) {
+      if (key < kNumKeys && (allowed & Bit(key)) != 0) continue;
+      const std::string_view name =
+          key < kNumKeys ? kKeyNames[key] : unknown_[key - kNumKeys];
+      return Status::InvalidArgument(StrCat("unknown field \"", name, "\""));
+    }
+    return Status::Ok();
+  }
+
  private:
   Status Finish() {
     SkipSpace();
     if (pos_ != text_.size()) return Err("trailing characters after object");
     return Status::Ok();
   }
+
+  Status DuplicateKey() { return Err(StrCat("duplicate key \"", key_, "\"")); }
 
   Status ParseValue(JsonValue* out) {
     SkipSpace();
@@ -84,24 +140,18 @@ class LineScanner {
       return Status::Ok();
     }
     if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = pos_;
-      if (c == '-') ++pos_;
-      size_t digits = 0;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        ++digits;
-      }
-      if (digits == 0) return Err("malformed number");
-      if (pos_ < text_.size() &&
-          (text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      const char* end = text_.data() + text_.size();
+      const auto [last, ec] =
+          std::from_chars(text_.data() + pos_, end, out->int_value);
+      if (ec == std::errc::invalid_argument) return Err("malformed number");
+      pos_ = static_cast<size_t>(last - text_.data());
+      if (last != end && (*last == '.' || *last == 'e' || *last == 'E')) {
         return Err("floating-point values are not part of the format");
       }
-      errno = 0;
+      if (ec == std::errc::result_out_of_range) {
+        return Err("integer out of range");
+      }
       out->kind = JsonValue::Kind::kInt;
-      out->int_value = std::strtoll(
-          std::string(text_.substr(start, pos_ - start)).c_str(), nullptr, 10);
-      if (errno == ERANGE) return Err("integer out of range");
       return Status::Ok();
     }
     if (c == '{' || c == '[') return Err("nested containers are not allowed");
@@ -161,6 +211,13 @@ class LineScanner {
 
   std::string_view text_;
   size_t pos_ = 0;
+  std::string key_;
+  JsonValue slots_[kNumKeys];
+  uint32_t present_ = 0;  ///< Bit(key) per filled slot
+  JsonValue unknown_value_;
+  std::vector<std::string> unknown_;  ///< keys outside the format
+  /// Keys in line order: a Key, or kNumKeys + index into unknown_.
+  std::vector<uint32_t> order_;
 };
 
 std::string EscapeJson(std::string_view raw) {
@@ -181,75 +238,6 @@ std::string EscapeJson(std::string_view raw) {
   return out;
 }
 
-/// Keyed access with strict unknown-key rejection.
-class Fields {
- public:
-  explicit Fields(std::vector<std::pair<std::string, JsonValue>> fields)
-      : fields_(std::move(fields)) {}
-
-  const JsonValue* Find(std::string_view key) {
-    for (auto& [k, v] : fields_) {
-      if (k == key) {
-        used_.insert(k);
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-
-  Status RequireInt(std::string_view key, int64_t* out) {
-    const JsonValue* v = Find(key);
-    if (v == nullptr) {
-      return Status::InvalidArgument(StrCat("missing field \"", key, "\""));
-    }
-    if (v->kind != JsonValue::Kind::kInt) {
-      return Status::InvalidArgument(
-          StrCat("field \"", key, "\" must be an integer"));
-    }
-    *out = v->int_value;
-    return Status::Ok();
-  }
-
-  Status RequireString(std::string_view key, std::string* out) {
-    const JsonValue* v = Find(key);
-    if (v == nullptr) {
-      return Status::InvalidArgument(StrCat("missing field \"", key, "\""));
-    }
-    if (v->kind != JsonValue::Kind::kString) {
-      return Status::InvalidArgument(
-          StrCat("field \"", key, "\" must be a string"));
-    }
-    *out = v->string_value;
-    return Status::Ok();
-  }
-
-  /// Fails if any field was never consumed by Find/Require*.
-  Status RejectUnknown() const {
-    for (const auto& [k, v] : fields_) {
-      (void)v;
-      if (used_.count(k) == 0) {
-        return Status::InvalidArgument(StrCat("unknown field \"", k, "\""));
-      }
-    }
-    return Status::Ok();
-  }
-
- private:
-  std::vector<std::pair<std::string, JsonValue>> fields_;
-  std::unordered_set<std::string> used_;
-};
-
-Status ParseTxnId(Fields& fields, TxnId* out) {
-  int64_t raw = 0;
-  NSE_RETURN_IF_ERROR(fields.RequireInt("txn", &raw));
-  if (raw < 1 || raw > static_cast<int64_t>(UINT32_MAX)) {
-    return Status::InvalidArgument(
-        StrCat("transaction id ", raw, " outside [1, 2^32)"));
-  }
-  *out = static_cast<TxnId>(raw);
-  return Status::Ok();
-}
-
 Value ValueOf(const JsonValue& v) {
   switch (v.kind) {
     case JsonValue::Kind::kInt:
@@ -262,11 +250,88 @@ Value ValueOf(const JsonValue& v) {
   return Value();
 }
 
+/// Applies one scanned line: the header, or one event appended to
+/// `history`. The checks run in a fixed order — type, header version or
+/// duplicate header, txn, item, from, unknown keys last — and the first
+/// failure is the line's error.
+Status ApplyLine(const LineScanner& line, bool* saw_header,
+                 History* history) {
+  NSE_RETURN_IF_ERROR(line.Require(kType, JsonValue::Kind::kString));
+  const std::string& type = line[kType].string_value;
+  if (!*saw_header) {
+    if (type != "history") {
+      return Status::InvalidArgument(
+          "first line must be the {\"type\":\"history\",\"v\":1} header");
+    }
+    NSE_RETURN_IF_ERROR(line.Require(kVersion, JsonValue::Kind::kInt));
+    const int64_t version = line[kVersion].int_value;
+    if (version != kHistoryFormatVersion) {
+      return Status::Unimplemented(
+          StrCat("unsupported history format version ", version));
+    }
+    NSE_RETURN_IF_ERROR(line.RejectUnknown(kHeaderKeys));
+    *saw_header = true;
+    return Status::Ok();
+  }
+
+  HistoryEvent event;
+  uint32_t allowed = kTxnKeys;
+  if (type == "begin") {
+    event.type = HistoryEventType::kBegin;
+  } else if (type == "read") {
+    event.type = HistoryEventType::kRead;
+    allowed = kReadKeys;
+  } else if (type == "write") {
+    event.type = HistoryEventType::kWrite;
+    allowed = kWriteKeys;
+  } else if (type == "commit") {
+    event.type = HistoryEventType::kCommit;
+  } else if (type == "abort") {
+    event.type = HistoryEventType::kAbort;
+  } else if (type == "history") {
+    return Status::FailedPrecondition("duplicate history header line");
+  } else {
+    return Status::InvalidArgument(
+        StrCat("unknown event type \"", type, "\""));
+  }
+
+  NSE_RETURN_IF_ERROR(line.Require(kTxn, JsonValue::Kind::kInt));
+  const int64_t txn = line[kTxn].int_value;
+  if (txn < 1 || txn > static_cast<int64_t>(UINT32_MAX)) {
+    return Status::InvalidArgument(
+        StrCat("transaction id ", txn, " outside [1, 2^32)"));
+  }
+  event.txn = static_cast<TxnId>(txn);
+
+  if ((allowed & Bit(kItem)) != 0) {
+    NSE_RETURN_IF_ERROR(line.Require(kItem, JsonValue::Kind::kString));
+    const std::string& name = line[kItem].string_value;
+    if (name.empty()) return Status::InvalidArgument("empty item name");
+    Result<ItemId> item = history->db.Find(name);
+    if (!item.ok()) item = history->db.AddItem(name, Domain());
+    NSE_RETURN_IF_ERROR(item.status());
+    event.item = *item;
+    if (line.Has(kValue)) event.value = ValueOf(line[kValue]);
+  }
+  if ((allowed & Bit(kFrom)) != 0 && line.Has(kFrom)) {
+    const JsonValue& from = line[kFrom];
+    if (from.kind != JsonValue::Kind::kInt || from.int_value < 0 ||
+        from.int_value > static_cast<int64_t>(UINT32_MAX)) {
+      return Status::InvalidArgument(
+          "field \"from\" must be a transaction id or 0");
+    }
+    event.read_from = static_cast<TxnId>(from.int_value);
+  }
+  NSE_RETURN_IF_ERROR(line.RejectUnknown(allowed));
+  history->events.push_back(std::move(event));
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<History> ParseHistory(std::string_view text) {
   History history;
-  std::unordered_map<std::string, ItemId> item_ids;
+  LineScanner scanner;
   bool saw_header = false;
   size_t line_no = 0;
   size_t start = 0;
@@ -276,97 +341,13 @@ Result<History> ParseHistory(std::string_view text) {
     std::string_view line = StripWhitespace(text.substr(start, end - start));
     start = end + 1;
     ++line_no;
-    if (line.empty()) {
-      if (start > text.size()) break;
-      continue;
-    }
-    const auto at_line = [&](Status status) {
+    if (line.empty()) continue;
+    Status status = scanner.Scan(line);
+    if (status.ok()) status = ApplyLine(scanner, &saw_header, &history);
+    if (!status.ok()) {
       return Status(status.code(),
                     StrCat("line ", line_no, ": ", status.message()));
-    };
-
-    std::vector<std::pair<std::string, JsonValue>> raw;
-    LineScanner scanner(line);
-    Status parsed = scanner.ParseObject(&raw);
-    if (!parsed.ok()) return at_line(parsed);
-    Fields fields(std::move(raw));
-
-    std::string type;
-    Status typed = fields.RequireString("type", &type);
-    if (!typed.ok()) return at_line(typed);
-
-    if (!saw_header) {
-      if (type != "history") {
-        return at_line(Status::InvalidArgument(
-            "first line must be the {\"type\":\"history\",\"v\":1} header"));
-      }
-      int64_t version = 0;
-      Status v = fields.RequireInt("v", &version);
-      if (!v.ok()) return at_line(v);
-      if (version != kHistoryFormatVersion) {
-        return at_line(Status::Unimplemented(
-            StrCat("unsupported history format version ", version)));
-      }
-      Status unknown = fields.RejectUnknown();
-      if (!unknown.ok()) return at_line(unknown);
-      saw_header = true;
-      continue;
     }
-
-    HistoryEvent event;
-    if (type == "begin") {
-      event.type = HistoryEventType::kBegin;
-    } else if (type == "read") {
-      event.type = HistoryEventType::kRead;
-    } else if (type == "write") {
-      event.type = HistoryEventType::kWrite;
-    } else if (type == "commit") {
-      event.type = HistoryEventType::kCommit;
-    } else if (type == "abort") {
-      event.type = HistoryEventType::kAbort;
-    } else if (type == "history") {
-      return at_line(
-          Status::FailedPrecondition("duplicate history header line"));
-    } else {
-      return at_line(
-          Status::InvalidArgument(StrCat("unknown event type \"", type, "\"")));
-    }
-
-    Status txn = ParseTxnId(fields, &event.txn);
-    if (!txn.ok()) return at_line(txn);
-
-    if (event.type == HistoryEventType::kRead ||
-        event.type == HistoryEventType::kWrite) {
-      std::string item_name;
-      Status item = fields.RequireString("item", &item_name);
-      if (!item.ok()) return at_line(item);
-      if (item_name.empty()) {
-        return at_line(Status::InvalidArgument("empty item name"));
-      }
-      auto it = item_ids.find(item_name);
-      if (it == item_ids.end()) {
-        auto added = history.db.AddItem(item_name, Domain());
-        if (!added.ok()) return at_line(added.status());
-        it = item_ids.emplace(item_name, *added).first;
-      }
-      event.item = it->second;
-      if (const JsonValue* value = fields.Find("value")) {
-        event.value = ValueOf(*value);
-      }
-      if (event.type == HistoryEventType::kRead) {
-        if (const JsonValue* from = fields.Find("from")) {
-          if (from->kind != JsonValue::Kind::kInt || from->int_value < 0 ||
-              from->int_value > static_cast<int64_t>(UINT32_MAX)) {
-            return at_line(Status::InvalidArgument(
-                "field \"from\" must be a transaction id or 0"));
-          }
-          event.read_from = static_cast<TxnId>(from->int_value);
-        }
-      }
-    }
-    Status unknown = fields.RejectUnknown();
-    if (!unknown.ok()) return at_line(unknown);
-    history.events.push_back(std::move(event));
   }
   if (!saw_header) {
     return Status::InvalidArgument(
@@ -379,9 +360,14 @@ Result<History> ParseHistory(std::string_view text) {
 Result<History> ReadHistoryFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound(StrCat("cannot open ", path));
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseHistory(buffer.str());
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    text.append(chunk, static_cast<size_t>(in.gcount()));
+  }
+  // A directory opens but fails its first read.
+  if (!in.eof()) return Status::NotFound(StrCat("cannot read ", path));
+  return ParseHistory(text);
 }
 
 std::string SerializeHistoryEvent(const History& history,

@@ -34,7 +34,8 @@ namespace nse {
 /// (the returned history passes ValidateHistory by construction).
 Result<History> ParseHistory(std::string_view text);
 
-/// Reads and parses a history file; IO failures map to NotFound.
+/// Reads and parses a history file. A path that cannot be opened or read
+/// (a directory, say) is NotFound.
 Result<History> ReadHistoryFile(const std::string& path);
 
 /// Serializes a history back to JSON-lines text (header line included).

@@ -128,6 +128,37 @@ TEST(HistoryParserTest, TypedErrorsForProtocolViolations) {
   r = ParseHistory("{\"type\":\"history\",\"v\":2}\n");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
+
+  // Precedence: the version is judged before unknown keys, a duplicate
+  // header before anything else on its line, a repeated key at scan time,
+  // and a key legal only for another line type is unknown.
+  const auto code_of = [](const std::string& text) {
+    return ParseHistory(text).status().code();
+  };
+  EXPECT_EQ(code_of("{\"type\":\"history\",\"v\":2,\"zz\":1}\n"),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(code_of(header + "{\"type\":\"history\",\"v\":1,\"zz\":1}\n"),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(code_of(header +
+                    "{\"type\":\"begin\",\"txn\":1,\"zz\":1,\"zz\":2}\n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      code_of(header +
+              "{\"type\":\"begin\",\"txn\":1}\n"
+              "{\"type\":\"write\",\"txn\":1,\"item\":\"a\",\"from\":0}\n"),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(code_of(header + "{\"type\":\"begin\",\"txn\":1,\"item\":\"a\"}\n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code_of("{\"type\":\"history\",\"v\":1,\"txn\":1}\n"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(HistoryParserTest, UnreadablePathsAreNotFound) {
+  EXPECT_EQ(ReadHistoryFile("no/such/history.jsonl").status().code(),
+            StatusCode::kNotFound);
+  // A directory opens as a stream but cannot be read.
+  EXPECT_EQ(ReadHistoryFile(NSE_TEST_DATA_DIR).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(HistoryRoundTripTest, GeneratedHistoriesSurviveSerializeParse) {

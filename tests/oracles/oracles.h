@@ -1,4 +1,5 @@
-// Reference implementations ("oracles") of the analysis core's fast paths.
+// Reference implementations ("oracles") of the analysis core's fast paths
+// and of the history parser.
 // Each is the straightforward version of an optimized production routine,
 // written over the public library API only, and kept outside libnse: the
 // differential tests compare production against them, and the benches
@@ -9,10 +10,12 @@
 #define NSE_TESTS_ORACLES_ORACLES_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "analysis/conflict_graph.h"
 #include "analysis/violation_search.h"
+#include "history/history.h"
 #include "txn/interleaver.h"
 
 namespace nse {
@@ -48,6 +51,14 @@ Result<SearchOutcome> ReferenceExhaustiveSearch(
     const std::vector<const TransactionProgram*>& programs,
     const std::vector<DbState>& initial_states, const HypothesisFilter& filter,
     uint64_t interleaving_limit, bool stop_at_first);
+
+/// ParseHistory over a generic JSON-object layer: each line becomes a
+/// vector of (key, value) pairs, looked up by name through a wrapper that
+/// records consumed keys and rejects the leftovers. The production parser
+/// decodes straight into one slot per format key; on every input the two
+/// must agree on ok-ness and StatusCode, and on success on the events and
+/// the item catalog.
+Result<History> ParseHistoryReference(std::string_view text);
 
 }  // namespace oracles
 }  // namespace nse

@@ -57,19 +57,13 @@ bool ParsePlane(const Database& db, const std::string& spec, DataSet* plane) {
   std::string name;
   while (std::getline(names, name, ',')) {
     if (name.empty()) continue;
-    bool found = false;
-    for (ItemId item = 0; item < db.num_items(); ++item) {
-      if (db.NameOf(item) == name) {
-        plane->Insert(item);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    Result<ItemId> item = db.Find(name);
+    if (!item.ok()) {
       std::cerr << "nse_check: unknown item '" << name << "' in plane '"
                 << spec << "'\n";
       return false;
     }
+    plane->Insert(*item);
   }
   if (plane->empty()) {
     std::cerr << "nse_check: empty plane '" << spec << "'\n";
