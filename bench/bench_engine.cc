@@ -15,6 +15,12 @@
 // differentially checked (CSR via the independent checker) and residual
 // policy state must be zero — the bench doubles as a stress harness.
 //
+// One more row runs without simulated I/O: strict 2PL on one worker over
+// 20k scripts of the perfbench oltp_2pl shape, so its wall is the
+// scheduler plus the hand-off of the ~190k-op committed trace
+// (RunContext::Finish), not sleep_for. It guards the exact `completed` and
+// `total_ops`; `wall_ms` is info.
+//
 // --smoke runs tiny configurations with the checks and no JSON; the full
 // run writes BENCH_engine.json (override the path with the last argument).
 
@@ -180,6 +186,40 @@ int main(int argc, char** argv) {
             << "us simulated I/O; sleeps overlap across workers, so "
                "speedup_vs_sequential tracks admission concurrency, not "
                "core count)\n";
+
+  // The CPU-bound row: oltp_2pl's script shape (64 partitions of 2 items,
+  // 3 per transaction, 20% cross reads, 20% hot spot), latency 0.
+  BenchCase cpu = make_case("cpu_bound", 20000, 64, 3, 0.2, 1,
+                            /*low_contention=*/false);
+  cpu.config.num_txns = smoke ? 2000 : 20000;
+  auto cpu_workload = MakePartitionedWorkload(cpu.config);
+  NSE_CHECK_MSG(cpu_workload.ok(), "workload generation failed: %s",
+                cpu_workload.status().ToString().c_str());
+  uint64_t script_ops = 0;
+  for (const TxnScript& script : cpu_workload->scripts) {
+    script_ops += script.steps.size();
+  }
+  EngineResult cpu_result =
+      RunChecked("strict-2pl", *cpu_workload, EngineConfig());
+  NSE_CHECK_MSG(cpu_result.total_ops == script_ops &&
+                    cpu_result.schedule.size() == script_ops,
+                "cpu_bound traced %llu of %llu script ops",
+                static_cast<unsigned long long>(cpu_result.total_ops),
+                static_cast<unsigned long long>(script_ops));
+  const double cpu_wall_ms =
+      static_cast<double>(cpu_result.wall_micros) / 1000.0;
+  report.AddRow()
+      .Key("workload", cpu.name)
+      .Key("policy", "strict-2pl")
+      .Key("txns", cpu_workload->scripts.size())
+      .Key("threads", 1)
+      .Exact("completed", cpu_result.completed)
+      .Exact("total_ops", cpu_result.total_ops)
+      .Info("wall_ms", cpu_wall_ms);
+  std::cout << "cpu_bound: strict-2pl, 1 worker, "
+            << cpu_workload->scripts.size() << " scripts, "
+            << cpu_result.total_ops << " ops traced, latency 0: "
+            << FormatDouble(cpu_wall_ms, 2) << " ms\n";
 
   if (smoke) return 0;
   NSE_CHECK_MSG(low_contention_scaled,

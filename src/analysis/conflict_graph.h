@@ -336,15 +336,6 @@ class ConflictBitSweep {
               is_write ? bits.writer_order : bits.reader_order, accessor);
   }
 
-  /// Distinct conflict pairs emitted on `plane` so far.
-  uint64_t emitted_count(size_t plane) const {
-    uint64_t total = 0;
-    for (uint64_t word : emitted_[plane]) {
-      total += static_cast<uint64_t>(__builtin_popcountll(word));
-    }
-    return total;
-  }
-
  private:
   struct ItemBits {
     std::vector<uint64_t> writer_words;  // membership, lazily grown

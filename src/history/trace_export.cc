@@ -1,6 +1,6 @@
 #include "history/trace_export.h"
 
-#include <unordered_map>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -11,20 +11,13 @@ History HistoryFromTrace(
     const std::vector<std::optional<TxnId>>& read_sources) {
   NSE_CHECK(read_sources.empty() ||
             read_sources.size() == schedule.ops().size());
-  // Last trace position of each transaction — its commit goes right after.
-  std::unordered_map<TxnId, size_t> last_pos;
-  for (size_t i = 0; i < schedule.ops().size(); ++i) {
-    last_pos[schedule.ops()[i].txn] = i;
-  }
-
   History history;
   history.db = db;
-  history.events.reserve(schedule.ops().size() + 2 * last_pos.size());
-  std::unordered_map<TxnId, bool> begun;
+  history.events.reserve(schedule.size() + 2 * schedule.txn_ids().size());
+  std::unordered_set<TxnId> begun;
   for (size_t i = 0; i < schedule.ops().size(); ++i) {
     const Operation& op = schedule.ops()[i];
-    if (!begun[op.txn]) {
-      begun[op.txn] = true;
+    if (begun.insert(op.txn).second) {
       history.events.push_back(HistoryEvent::Begin(op.txn));
     }
     if (op.is_read()) {
@@ -36,7 +29,8 @@ History HistoryFromTrace(
       history.events.push_back(
           HistoryEvent::Write(op.txn, op.entity, op.value));
     }
-    if (last_pos[op.txn] == i) {
+    // A transaction commits right after its last trace operation.
+    if (schedule.LastOpIndexOf(op.txn) == i) {
       history.events.push_back(HistoryEvent::Commit(op.txn));
     }
   }

@@ -208,10 +208,6 @@ class SchedulerPolicy {
   /// release point. Wrappers override to forward to inner policies.
   virtual void Poke() { hub_.Notify(); }
 
-  /// The hub kWait tickets of this policy point at (wrappers may hand out
-  /// tickets on an inner policy's hub instead).
-  WaitHub& wait_hub() { return hub_; }
-
  protected:
   /// Retract `txn`'s footprint after its last step committed.
   virtual void DoCommit(TxnId txn) = 0;

@@ -1,7 +1,7 @@
 #include "scheduler/txn_runner.h"
 
 #include <algorithm>
-#include <iterator>
+#include <numeric>
 
 #include "common/logging.h"
 #include "scheduler/fault_injection.h"
@@ -52,26 +52,34 @@ RunContext::RunContext(SchedulerPolicy& policy,
   // peak at its old and new buffers together.
   size_t steps = 0;
   for (const TxnScript& script : scripts) steps += script.steps.size();
-  trace_.reserve(steps);
+  ops_.reserve(steps);
+  read_sources_.reserve(steps);
+  seqs_.reserve(steps);
 }
 
 void RunContext::Finish(RunResult& result) {
-  std::sort(trace_.begin(), trace_.end(),
-            [](const BufferedOp& a, const BufferedOp& b) {
-              return a.trace_seq < b.trace_seq;
-            });
-  OpSequence ops;
-  ops.reserve(trace_.size());
-  result.read_sources.reserve(trace_.size());
-  for (BufferedOp& traced : trace_) {
-    ops.push_back(std::move(traced.op));
-    result.read_sources.push_back(traced.read_from);
+  // Seqs are unique, with gaps where aborted incarnations drew grants:
+  // rank them by counting over [1, max_seq], then permute by cycles.
+  std::vector<uint32_t> rank(
+      seqs_.empty() ? 0 : *std::max_element(seqs_.begin(), seqs_.end()), 0);
+  for (uint64_t seq : seqs_) rank[seq - 1] = 1;
+  std::partial_sum(rank.begin(), rank.end(), rank.begin());
+  NSE_CHECK_MSG((rank.empty() ? 0 : rank.back()) == seqs_.size(),
+                "a trace_seq was granted twice");
+  for (uint64_t& seq : seqs_) seq = rank[seq - 1] - 1;
+  for (size_t i = 0; i < seqs_.size(); ++i) {
+    while (seqs_[i] != i) {  // each swap puts one operation in place
+      const size_t j = seqs_[i];
+      std::swap(ops_[i], ops_[j]);
+      std::swap(read_sources_[i], read_sources_[j]);
+      std::swap(seqs_[i], seqs_[j]);
+    }
   }
-  trace_.clear();
-  result.total_ops = ops.size();
+  result.total_ops = ops_.size();
+  result.read_sources = std::move(read_sources_);
   result.vetoes = policy_.veto_events();
   result.txn_restarts = std::move(txn_restarts_);
-  result.schedule = Schedule(std::move(ops));
+  result.schedule = Schedule(std::move(ops_));
 }
 
 TxnRunner::TxnRunner(RunContext& context, RunResult& tally)
@@ -172,9 +180,11 @@ Status TxnRunner::Execute(const AccessGrant& grant) {
 void TxnRunner::Commit() {
   {
     std::lock_guard<std::mutex> lock(context_.trace_mu_);
-    context_.trace_.insert(context_.trace_.end(),
-                           std::make_move_iterator(buffer_.begin()),
-                           std::make_move_iterator(buffer_.end()));
+    for (RunContext::BufferedOp& traced : buffer_) {
+      context_.ops_.push_back(std::move(traced.op));
+      context_.read_sources_.push_back(traced.read_from);
+      context_.seqs_.push_back(traced.trace_seq);
+    }
   }
   buffer_.clear();
   undo_.clear();

@@ -4,10 +4,11 @@
 // only decide *when* it gets its next step and how a backoff is paid.
 //
 // The runner owns the incarnation (pc, skips, restarts, and a buffer of
-// granted operations with their policy-issued trace_seq: commit publishes
-// it into the run's trace, an abort drops it), the FaultPlan queries keyed
-// on (txn, incarnation, step), the skip / commit / restart ledgers, and
-// the value rule: a write stores and traces its trace_seq in the run's
+// granted operations with their policy-issued trace_seq: commit appends
+// it to the run's trace, kept as columns that RunContext::Finish places
+// by seq in place; an abort drops it), the FaultPlan queries keyed on
+// (txn, incarnation, step), the skip / commit / restart ledgers, and the
+// value rule: a write stores and traces its trace_seq in the run's
 // ShardedValueStore, a read traces the value it observed (the grant's
 // read_view under a multiversion policy, else the store's value), and an
 // aborted incarnation's writes are undone. So every traced read carries
@@ -47,7 +48,7 @@ struct RunResult {
   uint64_t latency_spike_ticks = 0;  ///< total injected latency-spike ticks
   uint64_t max_txn_restarts = 0;  ///< max restarts of any single txn
   uint64_t total_ops = 0;        ///< committed operations in the trace
-  Schedule schedule;             ///< committed trace, sorted by trace_seq
+  Schedule schedule;             ///< committed trace, in trace_seq order
   /// Parallel to schedule.ops(): for a read granted with a read_view
   /// (multiversion policies), the writer of the observed version (0 = the
   /// initial state) — the MVSR checker's reads-from. Absent otherwise.
@@ -72,7 +73,7 @@ class RunContext {
   SchedulerPolicy& policy() const { return policy_; }
   const std::vector<TxnScript>& scripts() const { return scripts_; }
 
-  /// Sorts the committed trace by trace_seq into `result`, with
+  /// Places the trace by trace_seq in place and hands it to `result` with
   /// read_sources, total_ops, vetoes and txn_restarts. Call once, last.
   void Finish(RunResult& result);
 
@@ -93,7 +94,9 @@ class RunContext {
   const bool one_driver_thread_;
   ShardedValueStore store_;
   std::mutex trace_mu_;
-  std::vector<BufferedOp> trace_;
+  OpSequence ops_;
+  std::vector<std::optional<TxnId>> read_sources_;
+  std::vector<uint64_t> seqs_;
   std::vector<uint64_t> txn_restarts_;  // written once per finished txn
 };
 

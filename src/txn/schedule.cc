@@ -8,16 +8,19 @@
 namespace nse {
 
 Schedule::Schedule(OpSequence ops) : ops_(std::move(ops)) {
-  for (const Operation& op : ops_) {
-    if (!std::binary_search(txn_ids_.begin(), txn_ids_.end(), op.txn)) {
-      txn_ids_.insert(
-          std::upper_bound(txn_ids_.begin(), txn_ids_.end(), op.txn), op.txn);
+  // (txn, pos) at the end of each run of same-txn ops; sorted, the last
+  // entry per txn holds that transaction's last operation.
+  std::vector<std::pair<TxnId, size_t>> ends;
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    if (i + 1 == ops_.size() || ops_[i + 1].txn != ops_[i].txn) {
+      ends.emplace_back(ops_[i].txn, i);
     }
   }
-  last_op_index_.assign(txn_ids_.size(), 0);
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    auto it = std::lower_bound(txn_ids_.begin(), txn_ids_.end(), ops_[i].txn);
-    last_op_index_[static_cast<size_t>(it - txn_ids_.begin())] = i;
+  std::sort(ends.begin(), ends.end());
+  for (size_t k = 0; k < ends.size(); ++k) {
+    if (k + 1 < ends.size() && ends[k + 1].first == ends[k].first) continue;
+    txn_ids_.push_back(ends[k].first);
+    last_op_index_.push_back(ends[k].second);
   }
 }
 

@@ -48,6 +48,7 @@
 #include "scheduler/timestamp_ordering.h"
 #include "scheduler/two_phase_locking.h"
 #include "scheduler/workload.h"
+#include "trace_order.h"
 
 namespace nse {
 namespace {
@@ -102,8 +103,8 @@ void ExpectClass(const Workload& workload, const Schedule& schedule,
       << schedule.ToString(workload.db);
 }
 
-/// Forward-progress ledger plus trace hygiene: everything committed and
-/// the trace mentions committed transactions only.
+/// Forward-progress ledger plus trace hygiene: everything committed, the
+/// trace mentions committed transactions only, and it is placed by seq.
 void ExpectForwardProgress(const EngineResult& result, size_t num_txns,
                            size_t threads) {
   EXPECT_EQ(result.completed, num_txns)
@@ -112,8 +113,8 @@ void ExpectForwardProgress(const EngineResult& result, size_t num_txns,
   for (const Operation& op : result.schedule.ops()) in_trace.insert(op.txn);
   EXPECT_LE(in_trace.size(), result.completed)
       << "trace holds operations of uncommitted transactions";
-  // The trace is seq-linearized: strictly increasing per-txn step order is
-  // implied by strictly increasing seqs, which Schedule preserves.
+  ExpectWritesInSeqOrder(result.schedule,
+                         std::to_string(threads) + " threads");
   EXPECT_EQ(result.threads, threads);
 }
 

@@ -41,6 +41,7 @@
 #include "scheduler/timestamp_ordering.h"
 #include "scheduler/workload.h"
 #include "state/version_store.h"
+#include "trace_order.h"
 
 namespace nse {
 namespace {
@@ -146,6 +147,8 @@ void ExpectForwardProgress(const EngineResult& result, size_t num_txns,
   for (const Operation& op : result.schedule.ops()) in_trace.insert(op.txn);
   EXPECT_LE(in_trace.size(), result.completed)
       << "trace holds operations of uncommitted transactions";
+  ExpectWritesInSeqOrder(result.schedule,
+                         std::to_string(threads) + " threads");
   EXPECT_EQ(result.threads, threads);
 }
 

@@ -79,6 +79,36 @@ TEST_F(ScheduleTest, CompletionTracking) {
   EXPECT_TRUE(s.CompletedBy(9, 0));  // absent txn is vacuously complete
 }
 
+TEST_F(ScheduleTest, IndexesSparseOutOfOrderIds) {
+  // Ids need not be dense or arrive in order, and a transaction may come
+  // back after others ran: T7's ops form three separate runs.
+  const TxnId big = 4000000000u;
+  ScheduleBuilder sb(db_);
+  sb.R(7, "a", Value(0))    // 0
+      .W(big, "b", Value(1))  // 1
+      .W(big, "c", Value(2))  // 2
+      .R(7, "b", Value(1))    // 3
+      .W(3, "d", Value(4))    // 4
+      .W(7, "a", Value(5))    // 5
+      .R(7, "d", Value(4))    // 6
+      .R(3, "a", Value(5));   // 7
+  Schedule s = sb.Build();
+  EXPECT_EQ(s.txn_ids(), (std::vector<TxnId>{3, 7, big}));
+  EXPECT_EQ(s.LastOpIndexOf(3), 7u);
+  EXPECT_EQ(s.LastOpIndexOf(7), 6u);
+  EXPECT_EQ(s.LastOpIndexOf(big), 2u);
+  EXPECT_EQ(s.LastOpIndexOf(4), std::nullopt);
+  EXPECT_EQ(s.LastOpIndexOf(4000000001u), std::nullopt);
+  EXPECT_FALSE(s.CompletedBy(7, 3));
+  EXPECT_FALSE(s.CompletedBy(7, 5));
+  EXPECT_TRUE(s.CompletedBy(7, 6));
+  EXPECT_FALSE(s.CompletedBy(big, 1));
+  EXPECT_TRUE(s.CompletedBy(big, 2));
+  EXPECT_FALSE(s.CompletedBy(3, 6));
+  EXPECT_TRUE(s.CompletedBy(3, 7));
+  EXPECT_EQ(s.TransactionOf(7).size(), 4u);
+}
+
 TEST_F(ScheduleTest, ExecuteAppliesWritesAndChecksReads) {
   Schedule s = Example1Schedule();
   DbState ds1 = DbState::OfNamed(db_, {{"a", Value(0)},
@@ -149,6 +179,17 @@ TEST_F(ScheduleTest, EmptySchedule) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->final_state.empty());
   EXPECT_TRUE(s.AccessedItems().empty());
+}
+
+TEST_F(ScheduleTest, SingleOpSchedule) {
+  ScheduleBuilder sb(db_);
+  sb.W(5, "c", Value(1));
+  Schedule s = sb.Build();
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.txn_ids(), (std::vector<TxnId>{5}));
+  EXPECT_EQ(s.LastOpIndexOf(5), 0u);
+  EXPECT_TRUE(s.CompletedBy(5, 0));
+  EXPECT_TRUE(s.CompletedBy(1, 0));
 }
 
 }  // namespace
