@@ -7,15 +7,95 @@
 
 namespace nse {
 
+namespace {
+
+/// The conflict graph of every conjunct projection S^{d_e}, in one walk
+/// over S. Conflicts are same-item, so the graph of S^{d_e} is the sweep of
+/// S restricted to the items of d_e: each access feeds one ConflictBitSweep
+/// per conjunct holding its item, in that conjunct's local txn indices, and
+/// every emitted edge goes straight into the graph at its full-schedule
+/// position. No projected schedule is materialized, and an item shared by
+/// overlapping conjuncts feeds each of them.
+std::vector<ConflictGraph> BuildConjunctGraphs(const Schedule& schedule,
+                                               const IntegrityConstraint& ic) {
+  const size_t num_conjuncts = ic.num_conjuncts();
+  const std::vector<TxnId>& txn_ids = schedule.txn_ids();
+  const OpSequence& ops = schedule.ops();
+  auto index_of = [&txn_ids](TxnId txn) {
+    return static_cast<uint32_t>(
+        std::lower_bound(txn_ids.begin(), txn_ids.end(), txn) -
+        txn_ids.begin());
+  };
+
+  // Item → every conjunct holding it, with the item's slot in that
+  // conjunct's data set (its item id in the conjunct's sweep).
+  struct Feed {
+    size_t conjunct;
+    ItemId slot;
+  };
+  std::vector<std::vector<Feed>> feeds;
+  for (size_t e = 0; e < num_conjuncts; ++e) {
+    const std::vector<ItemId>& items = ic.data_set(e).items();
+    for (ItemId slot = 0; slot < items.size(); ++slot) {
+      if (items[slot] >= feeds.size()) feeds.resize(items[slot] + 1);
+      feeds[items[slot]].push_back({e, slot});
+    }
+  }
+
+  // Pre-pass: the nodes of S^{d_e} are the txns with an operation on d_e,
+  // numbered in ascending id order; local[e * n + idx] maps txn index idx
+  // to that number.
+  const size_t n = txn_ids.size();
+  constexpr uint32_t kAbsent = UINT32_MAX;
+  std::vector<uint32_t> local(num_conjuncts * n, kAbsent);
+  for (const Operation& op : ops) {
+    if (op.entity >= feeds.size()) continue;
+    const uint32_t idx = index_of(op.txn);
+    for (const Feed& feed : feeds[op.entity]) {
+      local[feed.conjunct * n + idx] = 0;
+    }
+  }
+  std::vector<ConflictGraph> graphs;
+  std::vector<internal::ConflictBitSweep> sweeps;
+  graphs.reserve(num_conjuncts);
+  sweeps.reserve(num_conjuncts);
+  for (size_t e = 0; e < num_conjuncts; ++e) {
+    std::vector<TxnId> nodes;
+    for (size_t idx = 0; idx < n; ++idx) {
+      uint32_t& local_idx = local[e * n + idx];
+      if (local_idx == kAbsent) continue;
+      local_idx = static_cast<uint32_t>(nodes.size());
+      nodes.push_back(txn_ids[idx]);
+    }
+    sweeps.emplace_back(static_cast<uint32_t>(nodes.size()));
+    graphs.emplace_back(std::move(nodes), CycleMode::kIncremental);
+  }
+
+  for (size_t pos = 0; pos < ops.size(); ++pos) {
+    const Operation& op = ops[pos];
+    if (op.entity >= feeds.size()) continue;
+    const uint32_t idx = index_of(op.txn);
+    for (const Feed& feed : feeds[op.entity]) {
+      const uint32_t to = local[feed.conjunct * n + idx];
+      ConflictGraph& graph = graphs[feed.conjunct];
+      sweeps[feed.conjunct].Access(
+          to, op.is_write(), feed.slot,
+          [&graph, to, pos](uint32_t from) {
+            graph.AddEdgeByIndexAt(from, to, pos);
+          });
+    }
+  }
+  return graphs;
+}
+
+}  // namespace
+
 AnalysisContext::AnalysisContext(const Database* db,
                                  const IntegrityConstraint* ic,
                                  const Schedule* schedule,
                                  AnalysisOptions options)
     : db_(db), ic_(ic), schedule_(schedule), options_(options) {
-  if (ic_ != nullptr) {
-    projections_.resize(ic_->num_conjuncts());
-    projection_graphs_.resize(ic_->num_conjuncts());
-  }
+  if (ic_ != nullptr) projections_.resize(ic_->num_conjuncts());
 }
 
 AnalysisContext::AnalysisContext(const Database& db,
@@ -54,25 +134,16 @@ const IntegrityConstraint& AnalysisContext::ic() const {
 
 const ConflictGraph& AnalysisContext::conflict_graph() {
   if (!conflict_graph_.has_value()) {
-    if (ic_ != nullptr && ic_->disjoint()) {
-      BuildCoreGraphs();
-    } else {
-      conflict_graph_ =
-          ConflictGraph::Build(*schedule_, CycleMode::kIncremental);
-      ++stats_.conflict_graph_builds;
-    }
+    conflict_graph_ = ConflictGraph::Build(*schedule_, CycleMode::kIncremental);
+    ++stats_.conflict_graph_builds;
   }
   return *conflict_graph_;
 }
 
 const std::vector<ReadsFromEdge>& AnalysisContext::reads_from() {
   if (!reads_from_.has_value()) {
-    if (ic_ != nullptr && ic_->disjoint()) {
-      BuildCoreGraphs();
-    } else {
-      reads_from_ = ReadsFromPairs(*schedule_);
-      ++stats_.reads_from_builds;
-    }
+    reads_from_ = ReadsFromPairs(*schedule_);
+    ++stats_.reads_from_builds;
   }
   return *reads_from_;
 }
@@ -88,137 +159,13 @@ const ScheduleProjection& AnalysisContext::projection(size_t e) {
 }
 
 const ConflictGraph& AnalysisContext::projection_graph(size_t e) {
-  NSE_CHECK_MSG(e < projection_graphs_.size(),
-                "conjunct index %zu out of range %zu", e,
-                projection_graphs_.size());
-  if (!projection_graphs_[e].has_value()) {
-    if (ic().disjoint()) {
-      BuildCoreGraphs();
-    } else {
-      projection_graphs_[e] =
-          ConflictGraph::Build(projection(e).schedule, CycleMode::kIncremental);
-      ++stats_.projection_graph_builds;
-    }
+  NSE_CHECK_MSG(e < projections_.size(), "conjunct index %zu out of range %zu",
+                e, projections_.size());
+  if (!projection_graphs_.has_value()) {
+    projection_graphs_ = BuildConjunctGraphs(*schedule_, ic());
+    stats_.projection_graph_builds += projection_graphs_->size();
   }
-  return *projection_graphs_[e];
-}
-
-void AnalysisContext::BuildCoreGraphs() {
-  // Conflicts are same-item, so the full conflict graph and every projected
-  // conflict graph are regroupings of the same per-item access histories,
-  // and the reads-from relation falls out of the same last-write tracking.
-  // With disjoint conjuncts each item feeds exactly one conjunct, so one
-  // sweep over the schedule derives all of them without materializing a
-  // single projected schedule.
-  size_t num_conjuncts = projection_graphs_.size();
-  bool need_full = !conflict_graph_.has_value();
-  bool need_rf = !reads_from_.has_value();
-  bool need_proj = false;
-  for (const auto& graph : projection_graphs_) {
-    if (!graph.has_value()) need_proj = true;
-  }
-  if (!need_full && !need_rf && !need_proj) return;
-
-  // One dense bitset sweep (ConflictBitSweep) in txn-index space: plane 0
-  // dedupes the full graph's edges, plane 1+e conjunct e's, so each
-  // distinct edge is emitted exactly once per consumer — the n×n seen
-  // matrices of the earlier implementation are gone. The per-op bookkeeping
-  // tracks last writes (reads-from) and per-conjunct membership alongside,
-  // and all scratch bump-allocates from the per-schedule arena.
-  const std::vector<TxnId>& txn_ids = schedule_->txn_ids();
-  const uint32_t n = static_cast<uint32_t>(txn_ids.size());
-  const OpSequence& ops = schedule_->ops();
-  arena_.Reset();
-
-  // Deduped edges in first-occurrence (schedule) order, each with the
-  // position of the operation that created it — inserting them in this
-  // order into incremental graphs makes the recorded first cycle the
-  // earliest one the schedule closes.
-  struct EdgeAt {
-    uint32_t from;
-    uint32_t to;
-    size_t pos;
-  };
-  ArenaVector<EdgeAt> full_edges{ArenaAllocator<EdgeAt>(&arena_)};
-  std::vector<ArenaVector<EdgeAt>> proj_edges(
-      num_conjuncts, ArenaVector<EdgeAt>{ArenaAllocator<EdgeAt>(&arena_)});
-  ArenaVector<char> proj_member(static_cast<size_t>(num_conjuncts) * n, 0,
-                                ArenaAllocator<char>(&arena_));
-  std::vector<ReadsFromEdge> rf;  // kept artifact, not scratch
-  struct ItemState {
-    int conjunct = -2;  // -2 = not looked up yet, -1 = unconstrained
-    std::optional<size_t> last_write;
-  };
-  ArenaVector<ItemState> items{ArenaAllocator<ItemState>(&arena_)};
-  // Conjunct of the item an operation touches, memoized per item; -1 when
-  // unconstrained.
-  auto conjunct_of = [&](const Operation& op) {
-    if (op.entity >= items.size()) items.resize(op.entity + 1);
-    ItemState& item = items[op.entity];
-    if (item.conjunct == -2) {
-      std::optional<size_t> e = ic().ConjunctOf(op.entity);
-      item.conjunct = e.has_value() ? static_cast<int>(*e) : -1;
-    }
-    return item.conjunct;
-  };
-  internal::ConflictBitSweep sweep(n, 1 + num_conjuncts);
-  for (size_t pos = 0; pos < ops.size(); ++pos) {
-    const Operation& op = ops[pos];
-    const uint32_t idx = static_cast<uint32_t>(
-        std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
-        txn_ids.begin());
-    const int e = conjunct_of(op);
-    if (need_proj && e >= 0) {
-      proj_member[static_cast<size_t>(e) * n + idx] = 1;
-    }
-    ItemState& item = items[op.entity];
-    if (op.is_write()) {
-      item.last_write = pos;
-    } else if (need_rf && item.last_write.has_value()) {
-      rf.push_back(ReadsFromEdge{pos, *item.last_write});
-    }
-    const int extra_plane = (need_proj && e >= 0) ? 1 + e : -1;
-    sweep.Access(idx, op.is_write(), op.entity, extra_plane,
-                 [&](size_t plane, uint32_t from) {
-                   if (plane == 0) {
-                     if (need_full) full_edges.push_back({from, idx, pos});
-                   } else {
-                     proj_edges[plane - 1].push_back({from, idx, pos});
-                   }
-                 });
-  }
-  if (need_full) {
-    ConflictGraph graph(txn_ids, CycleMode::kIncremental);
-    for (const EdgeAt& edge : full_edges) {
-      graph.AddEdgeByIndexAt(edge.from, edge.to, edge.pos);
-    }
-    conflict_graph_ = std::move(graph);
-    ++stats_.conflict_graph_builds;
-  }
-  if (need_rf) {
-    reads_from_ = std::move(rf);
-    ++stats_.reads_from_builds;
-  }
-  for (size_t e = 0; e < num_conjuncts; ++e) {
-    if (projection_graphs_[e].has_value()) continue;
-    // Local node list of S^{d_e} plus the full-index → local-index map.
-    std::vector<TxnId> nodes;
-    ArenaVector<uint32_t> local(n, 0, ArenaAllocator<uint32_t>(&arena_));
-    for (uint32_t idx = 0; idx < n; ++idx) {
-      if (proj_member[e * n + idx]) {
-        local[idx] = static_cast<uint32_t>(nodes.size());
-        nodes.push_back(txn_ids[idx]);
-      }
-    }
-    ConflictGraph graph(std::move(nodes), CycleMode::kIncremental);
-    for (const EdgeAt& edge : proj_edges[e]) {
-      // The positions are full-schedule positions (the sweep runs over S),
-      // so a projected graph's cycle_op_pos needs no mapping here.
-      graph.AddEdgeByIndexAt(local[edge.from], local[edge.to], edge.pos);
-    }
-    projection_graphs_[e] = std::move(graph);
-    ++stats_.projection_graph_builds;
-  }
+  return (*projection_graphs_)[e];
 }
 
 const DataAccessGraph& AnalysisContext::access_graph() {
@@ -254,19 +201,7 @@ const PwsrReport& AnalysisContext::pwsr_report() {
       ConjunctSerializability entry;
       entry.conjunct = e;
       entry.csr = CsrReportFromGraph(projection_graph(e));
-      if (!entry.csr.serializable) {
-        report.is_pwsr = false;
-        // Witness mapping: the disjoint fused sweep records full-schedule
-        // positions directly; a graph built from a materialized projection
-        // records projection-local ones — map those through
-        // source_positions so every verdict renders at positions of S.
-        if (entry.csr.cycle_op_pos.has_value() && !ic().disjoint()) {
-          const std::vector<size_t>& source = projection(e).source_positions;
-          if (*entry.csr.cycle_op_pos < source.size()) {
-            entry.csr.cycle_op_pos = source[*entry.csr.cycle_op_pos];
-          }
-        }
-      }
+      if (!entry.csr.serializable) report.is_pwsr = false;
       report.per_conjunct.push_back(std::move(entry));
     }
     pwsr_ = std::move(report);

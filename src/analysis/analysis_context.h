@@ -28,7 +28,6 @@
 #include "analysis/reads_from.h"
 #include "analysis/serializability.h"
 #include "analysis/strong_correctness.h"
-#include "common/arena.h"
 #include "common/status.h"
 #include "constraints/integrity_constraint.h"
 #include "constraints/solver.h"
@@ -121,9 +120,10 @@ class AnalysisContext {
   /// Projection handle for S^{d_e} of conjunct `e` (requires an IC).
   const ScheduleProjection& projection(size_t e);
 
-  /// Conflict graph of S^{d_e} (requires an IC). When the conjunct data
-  /// sets are disjoint, all conjunct graphs are derived together in one
-  /// sweep of the schedule — no projected schedules are materialized.
+  /// Conflict graph of S^{d_e} (requires an IC). The first call derives
+  /// every conjunct's graph in one walk of the schedule — no projected
+  /// schedules are materialized — and records cycle-closing operations at
+  /// their positions in S.
   const ConflictGraph& projection_graph(size_t e);
 
   /// The data access graph DAG(S, IC) (requires an IC).
@@ -162,16 +162,6 @@ class AnalysisContext {
   AnalysisContext(const Database* db, const IntegrityConstraint* ic,
                   const Schedule* schedule, AnalysisOptions options);
 
-  /// Fills whichever of {full conflict graph, per-conjunct projection
-  /// graphs, reads-from relation} is still unbuilt, in a single pass over
-  /// the schedule: conflicts are same-item, so every graph is a regrouping
-  /// of the same per-item access histories. The projected-graph part is
-  /// valid only for disjoint conjuncts (each item feeds exactly one
-  /// conjunct's graph); callers gate on ic().disjoint(). The pass runs the
-  /// dense bitset sweep (one plane per graph) with its scratch in the
-  /// per-schedule arena.
-  void BuildCoreGraphs();
-
   const Database* db_ = nullptr;
   const IntegrityConstraint* ic_ = nullptr;
   std::optional<Schedule> owned_schedule_;
@@ -181,7 +171,7 @@ class AnalysisContext {
   std::optional<ConflictGraph> conflict_graph_;
   std::optional<std::vector<ReadsFromEdge>> reads_from_;
   std::vector<std::optional<ScheduleProjection>> projections_;
-  std::vector<std::optional<ConflictGraph>> projection_graphs_;
+  std::optional<std::vector<ConflictGraph>> projection_graphs_;
   std::optional<DataAccessGraph> access_graph_;
   std::optional<ConsistencyChecker> solver_;
   std::optional<CsrReport> csr_;
@@ -189,10 +179,6 @@ class AnalysisContext {
   std::optional<std::optional<DrViolation>> dr_violation_;
   std::optional<std::optional<DrViolation>> strict_violation_;
   std::optional<Result<StrongCorrectnessReport>> strong_;
-
-  /// Scratch for the fused builds: edge lists, membership flags and item
-  /// states bump-allocate here instead of issuing per-container mallocs.
-  MonotonicArena arena_;
 
   AnalysisCacheStats stats_;
 };

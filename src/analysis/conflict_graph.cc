@@ -135,16 +135,15 @@ ConflictGraph ConflictGraph::Build(const Schedule& schedule, CycleMode mode) {
   // bit-identical to the reference build.
   ConflictGraph graph(schedule.txn_ids(), mode);
   const std::vector<TxnId>& txn_ids = schedule.txn_ids();
-  internal::ConflictBitSweep sweep(static_cast<uint32_t>(txn_ids.size()),
-                                   /*num_planes=*/1);
+  internal::ConflictBitSweep sweep(static_cast<uint32_t>(txn_ids.size()));
   const OpSequence& ops = schedule.ops();
   for (size_t i = 0; i < ops.size(); ++i) {
     const Operation& op = ops[i];
     const uint32_t idx = static_cast<uint32_t>(
         std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
         txn_ids.begin());
-    sweep.Access(idx, op.is_write(), op.entity, /*extra_plane=*/-1,
-                 [&graph, idx, i](size_t, uint32_t from) {
+    sweep.Access(idx, op.is_write(), op.entity,
+                 [&graph, idx, i](uint32_t from) {
                    graph.AddEdgeByIndexAt(from, idx, i);
                  });
   }

@@ -75,8 +75,7 @@ class ConflictGraph {
   bool AddEdge(TxnId from, TxnId to);
 
   /// AddEdge by positions into nodes() — the id lookups skipped. For bulk
-  /// producers that already work in node indices (the shared analysis
-  /// sweep, graph builders).
+  /// producers that already work in node indices (the graph builders).
   bool AddEdgeByIndex(uint32_t from, uint32_t to);
 
   /// AddEdgeByIndex recording the schedule position of the operation that
@@ -110,8 +109,9 @@ class ConflictGraph {
   }
 
   /// Schedule position of the operation that closed the cycle, when the
-  /// cycle-closing edge was inserted with AddEdgeByIndexAt (the fused
-  /// analysis sweep and Build record positions; waits-for edges have none).
+  /// cycle-closing edge was inserted with AddEdgeByIndexAt (Build and
+  /// AnalysisContext's conjunct graphs record positions; waits-for edges
+  /// have none).
   const std::optional<size_t>& cycle_op_pos() const { return cycle_op_pos_; }
 
   /// The recorded cycle witness (txn ids, first == last), or nullopt while
@@ -231,8 +231,8 @@ class ConflictGraph {
 /// paper's conflict rule (same item, distinct transactions, at least one
 /// write) for consumers that must also *retract* accesses — the SGT
 /// policy's online veto check and the streaming checker's per-plane
-/// histories. Batch builds (ConflictGraph::Build, the AnalysisContext fused
-/// core build) never retract and use the dense ConflictBitSweep instead.
+/// histories. Batch builds (ConflictGraph::Build, AnalysisContext's conjunct
+/// graphs) never retract and use the dense ConflictBitSweep instead.
 /// Accessors are caller-chosen uint32_t handles (raw txn ids for the
 /// scheduler, slots for the streaming checker).
 class ConflictAccessIndex {
@@ -295,42 +295,43 @@ class ConflictAccessIndex {
 namespace internal {
 
 /// Dense fast path for the per-item conflict sweep: per-item reader/writer
-/// bitsets over txn indices plus per-plane already-emitted bitsets (64-bit
-/// word blocks). An access whose conflicts were all emitted before — the
-/// common case on hot items — costs a few word scans and popcounts, with
-/// no per-accessor walk and no downstream dedupe work at all, because the
-/// emitted bitset is exactly the consumer-side dedupe pulled up front (an
-/// already-present pair is a no-op insert either way).
+/// bitsets over txn indices plus one already-emitted bitset (txns × txns,
+/// 64-bit word blocks). An access whose conflicts were all emitted before —
+/// the common case on hot items — costs a few word scans and popcounts,
+/// with no per-accessor walk and no downstream dedupe work at all, because
+/// the emitted bitset is exactly the consumer-side dedupe pulled up front
+/// (an already-present pair is a no-op insert either way).
 ///
 /// First-occurrence emissions walk the recorded first-access orders, so
 /// the emitted pair sequence is exactly the reference sweep's sequence of
 /// *successful* inserts — prior writers first, then (for writes) prior
 /// readers — which keeps dense-built graphs bit-identical to
-/// reference-built ones, recorded cycle witnesses included. Planes let one
-/// sweep feed several consumers (the full graph and each conjunct
-/// projection) with independent dedupe. Cross-checked against the
-/// vector-scan reference builder in tests/oracles by the fuzz
-/// differential.
+/// reference-built ones, recorded cycle witnesses included. One sweep feeds
+/// one graph: ConflictGraph::Build runs one over the whole schedule, and
+/// AnalysisContext one per conjunct in that conjunct's local txn indices.
+/// Cross-checked against the vector-scan reference builder in tests/oracles
+/// by the fuzz differential.
 class ConflictBitSweep {
  public:
-  ConflictBitSweep(uint32_t num_txns, size_t num_planes)
-      : num_txns_(num_txns),
-        words_((static_cast<size_t>(num_txns) + 63) / 64),
-        emitted_(num_planes) {}
+  explicit ConflictBitSweep(uint32_t num_txns)
+      : words_((static_cast<size_t>(num_txns) + 63) / 64),
+        emitted_(static_cast<size_t>(num_txns) * words_, 0) {}
 
-  /// Feeds one access in schedule order: calls emit(plane, from) for every
-  /// conflict pair (from → accessor) not yet emitted on that plane, then
-  /// records the access. `extra_plane` (< 0 for none) additionally emits
-  /// the same access's pairs under a second plane's dedupe.
+  /// Feeds one access in schedule order: calls emit(from) for every
+  /// conflict pair (from → accessor) not yet emitted, then records the
+  /// access.
   template <typename EmitFn>
-  void Access(uint32_t accessor, bool is_write, ItemId item, int extra_plane,
-              EmitFn emit) {
+  void Access(uint32_t accessor, bool is_write, ItemId item, EmitFn emit) {
     if (item >= items_.size()) items_.resize(item + 1);
     ItemBits& bits = items_[item];
-    EmitPlane(bits, accessor, is_write, 0, emit);
-    if (extra_plane >= 0) {
-      EmitPlane(bits, accessor, is_write, static_cast<size_t>(extra_plane),
-                emit);
+    uint64_t* row = emitted_.data() + static_cast<size_t>(accessor) * words_;
+    uint64_t fresh = CountNew(bits.writer_words, row, accessor);
+    if (fresh != 0) WalkOrder(bits.writer_order, row, accessor, fresh, emit);
+    if (is_write) {
+      // Recomputed after the writer walk: an accessor on both lists was
+      // just marked there and must not emit twice.
+      fresh = CountNew(bits.reader_words, row, accessor);
+      if (fresh != 0) WalkOrder(bits.reader_order, row, accessor, fresh, emit);
     }
     RecordBit(is_write ? bits.writer_words : bits.reader_words,
               is_write ? bits.writer_order : bits.reader_order, accessor);
@@ -362,45 +363,16 @@ class ConflictBitSweep {
   /// order, marking them on `row`.
   template <typename EmitFn>
   static void WalkOrder(const std::vector<uint32_t>& order, uint64_t* row,
-                        uint32_t accessor, uint64_t fresh, size_t plane,
-                        EmitFn& emit) {
+                        uint32_t accessor, uint64_t fresh, EmitFn& emit) {
     for (uint32_t from : order) {
       if (from == accessor) continue;
       uint64_t& word = row[from >> 6];
       const uint64_t bit = uint64_t{1} << (from & 63);
       if ((word & bit) != 0) continue;
       word |= bit;
-      emit(plane, from);
+      emit(from);
       if (--fresh == 0) break;
     }
-  }
-
-  template <typename EmitFn>
-  void EmitPlane(ItemBits& bits, uint32_t accessor, bool is_write,
-                 size_t plane, EmitFn& emit) {
-    uint64_t* row = PlaneRow(plane, accessor);
-    uint64_t fresh = CountNew(bits.writer_words, row, accessor);
-    if (fresh != 0) {
-      WalkOrder(bits.writer_order, row, accessor, fresh, plane, emit);
-    }
-    if (is_write) {
-      // Recomputed after the writer walk: an accessor on both lists was
-      // just marked there and must not emit twice.
-      fresh = CountNew(bits.reader_words, row, accessor);
-      if (fresh != 0) {
-        WalkOrder(bits.reader_order, row, accessor, fresh, plane, emit);
-      }
-    }
-  }
-
-  /// The accessor's 64-bit row of `plane`'s emitted bitset (rows allocated
-  /// on a plane's first use).
-  uint64_t* PlaneRow(size_t plane, uint32_t accessor) {
-    std::vector<uint64_t>& store = emitted_[plane];
-    if (store.empty()) {
-      store.assign(static_cast<size_t>(num_txns_) * words_, 0);
-    }
-    return store.data() + static_cast<size_t>(accessor) * words_;
   }
 
   static void RecordBit(std::vector<uint64_t>& words,
@@ -413,10 +385,9 @@ class ConflictBitSweep {
     order.push_back(accessor);
   }
 
-  uint32_t num_txns_;
   size_t words_;
   std::vector<ItemBits> items_;
-  std::vector<std::vector<uint64_t>> emitted_;  // plane -> txns × words_
+  std::vector<uint64_t> emitted_;  // txns × words_
 };
 
 }  // namespace internal

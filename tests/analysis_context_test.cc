@@ -5,6 +5,7 @@
 #include "analysis/checker.h"
 #include "analysis/theorems.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "constraints/ast.h"
 #include "fuzz_env.h"
 #include "oracles/oracles.h"
@@ -64,8 +65,8 @@ TEST_F(AnalysisContextTest, ArtifactsAreBuiltOnceAndCached) {
   ctx.pwsr_report();
   ctx.pwsr_report();
   EXPECT_EQ(ctx.cache_stats().pwsr_builds, 1u);
-  // Disjoint conjuncts: all projected graphs come from one shared sweep,
-  // with no projected schedules materialized at all.
+  // All projected graphs come from one walk of the schedule, with no
+  // projected schedules materialized at all.
   EXPECT_EQ(ctx.cache_stats().projection_builds, 0u);
   EXPECT_EQ(ctx.cache_stats().projection_graph_builds, 2u);
 
@@ -86,6 +87,37 @@ TEST_F(AnalysisContextTest, ArtifactsAreBuiltOnceAndCached) {
   EXPECT_EQ(ctx.cache_stats().dr_builds, before.dr_builds);
   EXPECT_EQ(ctx.cache_stats().access_graph_builds,
             before.access_graph_builds);
+}
+
+TEST_F(AnalysisContextTest, OverlappingConjunctGraphsMaterializeNoProjection) {
+  // Conjuncts over {a, b} and {b, c} share b. Their graphs come from the
+  // same single walk as disjoint ones: b's accesses feed both conjuncts,
+  // and no projected schedule is built.
+  auto overlapping = IntegrityConstraint::FromConjuncts(
+      db_,
+      {Eq(Var(db_.MustFind("a")), Var(db_.MustFind("b"))),
+       Eq(Var(db_.MustFind("b")), Var(db_.MustFind("c")))},
+      ConjunctOverlap::kAllow);
+  ASSERT_TRUE(overlapping.ok()) << overlapping.status();
+  ASSERT_FALSE(overlapping->disjoint());
+  Schedule s = CyclicSchedule();
+  AnalysisContext ctx(db_, *overlapping, s);
+
+  const PwsrReport& pwsr = ctx.pwsr_report();
+  ctx.pwsr_report();
+  EXPECT_EQ(ctx.cache_stats().pwsr_builds, 1u);
+  EXPECT_EQ(ctx.cache_stats().projection_builds, 0u);
+  EXPECT_EQ(ctx.cache_stats().projection_graph_builds, 2u);
+  EXPECT_FALSE(pwsr.conjuncts_disjoint);
+  EXPECT_FALSE(pwsr.is_pwsr);
+  ASSERT_EQ(pwsr.per_conjunct.size(), 2u);
+  // The {a, b} cycle closes at w1(b), position 3 of S; {b, c} sees only
+  // T2's r2(b) and T1's w1(b), one edge.
+  ASSERT_TRUE(pwsr.per_conjunct[0].csr.cycle_op_pos.has_value());
+  EXPECT_EQ(*pwsr.per_conjunct[0].csr.cycle_op_pos, 3u);
+  EXPECT_TRUE(pwsr.per_conjunct[1].csr.serializable);
+  EXPECT_EQ(ctx.projection_graph(1).num_edges(), 1u);
+  EXPECT_EQ(ctx.cache_stats().projection_graph_builds, 2u);
 }
 
 TEST_F(AnalysisContextTest, ContextReportsMatchFreeFunctions) {
@@ -263,25 +295,25 @@ TEST_F(AnalysisContextTest, IncrementalConflictGraphEdgesAndTopoCache) {
 
 TEST_F(AnalysisContextTest, CsrFastPathRecordsCycleClosingOperation) {
   // r1(a) w2(a) r2(b) w1(b): the edge T2 -> T1 created by w1(b) at trace
-  // position 3 closes the conflict cycle. Both context paths — the fused
-  // disjoint-conjunct sweep and the schedule-only build — must record it.
+  // position 3 closes the conflict cycle. A context with an IC and a
+  // schedule-only context must both record it.
   Schedule s = CyclicSchedule();
 
-  AnalysisContext fused(db_, *ic_, s);  // disjoint IC: fused core build
-  const CsrReport& fused_csr = fused.csr_report();
-  EXPECT_FALSE(fused_csr.serializable);
-  ASSERT_TRUE(fused_csr.cycle_edge.has_value());
-  EXPECT_EQ(*fused_csr.cycle_edge, std::make_pair(TxnId{2}, TxnId{1}));
-  ASSERT_TRUE(fused_csr.cycle_op_pos.has_value());
-  EXPECT_EQ(*fused_csr.cycle_op_pos, 3u);
-  ASSERT_TRUE(fused_csr.cycle.has_value());
-  EXPECT_EQ(fused_csr.cycle->front(), fused_csr.cycle->back());
+  AnalysisContext with_ic(db_, *ic_, s);
+  const CsrReport& ic_csr = with_ic.csr_report();
+  EXPECT_FALSE(ic_csr.serializable);
+  ASSERT_TRUE(ic_csr.cycle_edge.has_value());
+  EXPECT_EQ(*ic_csr.cycle_edge, std::make_pair(TxnId{2}, TxnId{1}));
+  ASSERT_TRUE(ic_csr.cycle_op_pos.has_value());
+  EXPECT_EQ(*ic_csr.cycle_op_pos, 3u);
+  ASSERT_TRUE(ic_csr.cycle.has_value());
+  EXPECT_EQ(ic_csr.cycle->front(), ic_csr.cycle->back());
 
-  AnalysisContext plain(s);  // schedule-only: direct incremental build
+  AnalysisContext plain(s);  // schedule-only
   const CsrReport& plain_csr = plain.csr_report();
   EXPECT_FALSE(plain_csr.serializable);
-  EXPECT_EQ(plain_csr.cycle_edge, fused_csr.cycle_edge);
-  EXPECT_EQ(plain_csr.cycle_op_pos, fused_csr.cycle_op_pos);
+  EXPECT_EQ(plain_csr.cycle_edge, ic_csr.cycle_edge);
+  EXPECT_EQ(plain_csr.cycle_op_pos, ic_csr.cycle_op_pos);
 }
 
 TEST_F(AnalysisContextTest, PwsrConjunctCycleRendersAtFullSchedulePosition) {
@@ -330,58 +362,81 @@ TEST_F(AnalysisContextTest, ContextAgreesWithCheckersOnRandomSchedules) {
   }
 }
 
-// Fused-sweep differential, fuzz-scaled: the arena-backed multi-plane
-// bitset pass behind BuildCoreGraphs (full graph + every conjunct graph +
-// reads-from in one walk of the schedule) against artifacts built one at a
-// time from materialized projections by the reference vector sweep.
+// Conjunct-graph differential, fuzz-scaled: the full graph, every conjunct
+// graph (one walk of the schedule, one bitset sweep per conjunct) and
+// reads-from against artifacts built one at a time from materialized
+// projections by the reference vector sweep — for a disjoint IC and for an
+// overlapping one, whose shared items feed two conjunct sweeps each. The
+// PWSR witness must sit where the reference graph of the materialized
+// projection closes its cycle, mapped back to a position of S.
 TEST(AnalysisContextFusedSweepFuzz, FusedPlanesMatchMaterializedReference) {
   Database db;
   ASSERT_TRUE(db.AddIntItems({"a", "b", "c", "d", "e", "f"}, -4, 4).ok());
-  // Three disjoint conjuncts, so the fused pass drives real extra planes.
-  auto ic = IntegrityConstraint::FromConjuncts(
-      db, {Eq(Var(db.MustFind("a")), Var(db.MustFind("b"))),
-           Eq(Var(db.MustFind("c")), Var(db.MustFind("d"))),
-           Eq(Var(db.MustFind("e")), Var(db.MustFind("f")))});
-  ASSERT_TRUE(ic.ok()) << ic.status();
+  auto var = [&db](const char* name) { return Var(db.MustFind(name)); };
+  auto disjoint = IntegrityConstraint::FromConjuncts(
+      db, {Eq(var("a"), var("b")), Eq(var("c"), var("d")),
+           Eq(var("e"), var("f"))});
+  ASSERT_TRUE(disjoint.ok()) << disjoint.status();
+  // {a, b, c}, {c, d} and {a, d, e}: every item but b, e and f is shared.
+  auto overlapping = IntegrityConstraint::FromConjuncts(
+      db,
+      {Eq(Add(var("a"), var("b")), var("c")), Eq(var("c"), var("d")),
+       Eq(Add(var("a"), var("d")), var("e"))},
+      ConjunctOverlap::kAllow);
+  ASSERT_TRUE(overlapping.ok()) << overlapping.status();
+  ASSERT_FALSE(overlapping->disjoint());
 
   const size_t seeds = FuzzSeedCount(10);
-  for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    Rng rng(seed * 6151 + 7);
-    const size_t num_txns = 2 + rng.NextBelow(10);
-    const size_t num_ops = 6 + rng.NextBelow(50);
-    OpSequence ops;
-    for (size_t i = 0; i < num_ops; ++i) {
-      TxnId txn = static_cast<TxnId>(1 + rng.NextBelow(num_txns));
-      ItemId item = static_cast<ItemId>(rng.NextBelow(db.num_items()));
-      if (rng.NextBool(0.5)) {
-        ops.push_back(Operation::Write(txn, item, Value(0)));
-      } else {
-        ops.push_back(Operation::Read(txn, item, Value(0)));
+  for (const IntegrityConstraint* ic : {&*disjoint, &*overlapping}) {
+    for (uint64_t seed = 1; seed <= seeds; ++seed) {
+      Rng rng(seed * 6151 + 7);
+      const size_t num_txns = 2 + rng.NextBelow(10);
+      const size_t num_ops = 6 + rng.NextBelow(50);
+      OpSequence ops;
+      for (size_t i = 0; i < num_ops; ++i) {
+        TxnId txn = static_cast<TxnId>(1 + rng.NextBelow(num_txns));
+        ItemId item = static_cast<ItemId>(rng.NextBelow(db.num_items()));
+        if (rng.NextBool(0.5)) {
+          ops.push_back(Operation::Write(txn, item, Value(0)));
+        } else {
+          ops.push_back(Operation::Read(txn, item, Value(0)));
+        }
       }
-    }
-    Schedule s(std::move(ops));
-    AnalysisContext ctx(db, *ic, s);
+      Schedule s(std::move(ops));
+      AnalysisContext ctx(db, *ic, s);
+      const std::string where =
+          StrCat(ic->disjoint() ? "disjoint" : "overlapping", " seed ", seed);
 
-    ConflictGraph full = oracles::BuildReference(s);
-    EXPECT_EQ(ctx.conflict_graph().Edges(), full.Edges()) << "seed " << seed;
-    EXPECT_EQ(ctx.conflict_graph().ToString(), full.ToString());
+      ConflictGraph full = oracles::BuildReference(s);
+      EXPECT_EQ(ctx.conflict_graph().Edges(), full.Edges()) << where;
+      EXPECT_EQ(ctx.conflict_graph().ToString(), full.ToString()) << where;
 
-    for (size_t e = 0; e < ic->num_conjuncts(); ++e) {
-      ConflictGraph direct =
-          oracles::BuildReference(s.Project(ic->data_set(e)));
-      EXPECT_EQ(ctx.projection_graph(e).nodes(), direct.nodes())
-          << "seed " << seed << " conjunct " << e;
-      EXPECT_EQ(ctx.projection_graph(e).Edges(), direct.Edges())
-          << "seed " << seed << " conjunct " << e;
-      EXPECT_EQ(ctx.projection_graph(e).IsAcyclic(), direct.IsAcyclic());
-    }
+      const PwsrReport& pwsr = ctx.pwsr_report();
+      ASSERT_EQ(pwsr.per_conjunct.size(), ic->num_conjuncts()) << where;
+      for (size_t e = 0; e < ic->num_conjuncts(); ++e) {
+        ScheduleProjection projected = s.ProjectWithPositions(ic->data_set(e));
+        ConflictGraph direct = oracles::BuildReference(projected.schedule,
+                                                       CycleMode::kIncremental);
+        EXPECT_EQ(ctx.projection_graph(e).nodes(), direct.nodes())
+            << where << " conjunct " << e;
+        EXPECT_EQ(ctx.projection_graph(e).Edges(), direct.Edges())
+            << where << " conjunct " << e;
+        EXPECT_EQ(ctx.projection_graph(e).IsAcyclic(), direct.IsAcyclic());
+        std::optional<size_t> expected_pos;
+        if (direct.cycle_op_pos().has_value()) {
+          expected_pos = projected.source_positions[*direct.cycle_op_pos()];
+        }
+        EXPECT_EQ(pwsr.per_conjunct[e].csr.cycle_op_pos, expected_pos)
+            << where << " conjunct " << e;
+      }
 
-    const auto& fused_rf = ctx.reads_from();
-    const auto direct_rf = ReadsFromPairs(s);
-    ASSERT_EQ(fused_rf.size(), direct_rf.size()) << "seed " << seed;
-    for (size_t i = 0; i < fused_rf.size(); ++i) {
-      EXPECT_EQ(fused_rf[i].reader_pos, direct_rf[i].reader_pos);
-      EXPECT_EQ(fused_rf[i].writer_pos, direct_rf[i].writer_pos);
+      const auto& rf = ctx.reads_from();
+      const auto direct_rf = ReadsFromPairs(s);
+      ASSERT_EQ(rf.size(), direct_rf.size()) << where;
+      for (size_t i = 0; i < rf.size(); ++i) {
+        EXPECT_EQ(rf[i].reader_pos, direct_rf[i].reader_pos);
+        EXPECT_EQ(rf[i].writer_pos, direct_rf[i].writer_pos);
+      }
     }
   }
 }
