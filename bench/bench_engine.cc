@@ -21,6 +21,14 @@
 // (RunContext::Finish), not sleep_for. It guards the exact `completed` and
 // `total_ops`; `wall_ms` is info.
 //
+// Two rows drive the tick simulator instead: predicatewise 2PL over the
+// perfbench certify_pwsr script shape at 1,500 and 6,000 scripts. They
+// guard the exact makespan, completed, total_wait_ticks and rollbacks,
+// and the 6,000-script row carries the ratio `sim_linearity`: ns per tick
+// at 1,500 scripts over ns per tick at 6,000. A tick that visits only the
+// live transactions costs the same at both sizes (~1); one that steps over
+// every script costs 4x more at 4x the scripts (~0.25).
+//
 // --smoke runs tiny configurations with the checks and no JSON; the full
 // run writes BENCH_engine.json (override the path with the last argument).
 
@@ -35,7 +43,9 @@
 #include "common/string_util.h"
 #include "engine/engine.h"
 #include "scheduler/metrics.h"
+#include "scheduler/pw_two_phase_locking.h"
 #include "scheduler/sgt_policy.h"
+#include "scheduler/sim.h"
 #include "scheduler/timestamp_ordering.h"
 #include "scheduler/two_phase_locking.h"
 #include "scheduler/workload.h"
@@ -220,6 +230,56 @@ int main(int argc, char** argv) {
             << cpu_workload->scripts.size() << " scripts, "
             << cpu_result.total_ops << " ops traced, latency 0: "
             << FormatDouble(cpu_wall_ms, 2) << " ms\n";
+
+  // The simulator rows: certify_pwsr's shape (48 partitions of 2 items, 3
+  // per transaction, 20% cross reads, 20% hot spot, 16 arrival ticks per
+  // transaction), best of 3 runs.
+  const std::vector<size_t> sim_sizes =
+      smoke ? std::vector<size_t>{200, 800} : std::vector<size_t>{1500, 6000};
+  double first_ns_per_tick = 0;
+  for (size_t txns : sim_sizes) {
+    BenchCase sim = make_case("sim_certify_pwsr", txns, 48, 3, 0.2, 1,
+                              /*low_contention=*/false);
+    sim.config.num_txns = txns;
+    sim.config.arrival_spread = 16 * txns;
+    auto sim_workload = MakePartitionedWorkload(sim.config);
+    NSE_CHECK_MSG(sim_workload.ok(), "workload generation failed: %s",
+                  sim_workload.status().ToString().c_str());
+    SimResult sim_result;
+    const double sim_ms = bench::BestOfMs(3, [&] {
+      PredicatewiseTwoPhaseLocking policy(&*sim_workload->ic);
+      Result<SimResult> run = RunSimulation(policy, sim_workload->scripts);
+      NSE_CHECK_MSG(run.ok(), "simulation of %zu scripts failed: %s", txns,
+                    run.status().ToString().c_str());
+      sim_result = *std::move(run);
+    });
+    NSE_CHECK_MSG(sim_result.completed == txns && sim_result.makespan > 0,
+                  "simulation committed %llu of %zu scripts",
+                  static_cast<unsigned long long>(sim_result.completed),
+                  txns);
+    const uint64_t rollbacks =
+        sim_result.aborts + sim_result.restarts + sim_result.wounds;
+    const double ns_per_tick =
+        sim_ms * 1e6 / static_cast<double>(sim_result.makespan);
+    bench::BenchRow& row = report.AddRow()
+                               .Key("workload", sim.name)
+                               .Key("policy", "pw-2pl")
+                               .Key("txns", txns)
+                               .Exact("makespan", sim_result.makespan)
+                               .Exact("completed", sim_result.completed)
+                               .Exact("total_wait_ticks",
+                                      sim_result.total_wait_ticks)
+                               .Exact("rollbacks", rollbacks);
+    if (first_ns_per_tick == 0) {
+      first_ns_per_tick = ns_per_tick;
+    } else {
+      row.Ratio("sim_linearity", first_ns_per_tick / ns_per_tick);
+    }
+    row.Info("wall_ms", sim_ms).Info("ns_per_tick", ns_per_tick);
+    std::cout << "sim_certify_pwsr: pw-2pl, " << txns << " scripts, "
+              << sim_result.makespan << " ticks: " << FormatDouble(sim_ms, 2)
+              << " ms, " << FormatDouble(ns_per_tick, 1) << " ns/tick\n";
+  }
 
   if (smoke) return 0;
   NSE_CHECK_MSG(low_contention_scaled,

@@ -51,16 +51,27 @@ inline double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Best-of-`reps` wall time of `run`, in milliseconds.
-inline double BestOfMs(int reps, const std::function<void()>& run) {
-  double best = 0;
+/// Best-of-`reps` wall time of each of `runs`, in milliseconds. The reps
+/// run in rounds, each round timing every run once in order, so host drift
+/// over the rounds hits every run alike: a speedup taken against `runs[0]`
+/// compares runs that shared the same stretches of host time.
+inline std::vector<double> BestOfInterleavedMs(
+    int reps, const std::vector<std::function<void()>>& runs) {
+  std::vector<double> best(runs.size(), 0);
   for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    run();
-    const double ms = MsSince(start);
-    if (r == 0 || ms < best) best = ms;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      runs[i]();
+      const double ms = MsSince(start);
+      if (r == 0 || ms < best[i]) best[i] = ms;
+    }
   }
   return best;
+}
+
+/// Best-of-`reps` wall time of `run`, in milliseconds.
+inline double BestOfMs(int reps, const std::function<void()>& run) {
+  return BestOfInterleavedMs(reps, {run})[0];
 }
 
 /// A JSON scalar, rendered once when the field is added. Doubles carry the

@@ -30,10 +30,17 @@
 // engine overhead only — the committed speedups come from the solver cache;
 // multi-core hosts stack thread scaling on top (see docs/bench.md).
 //
+// Each workload's rows are timed in rounds: a round runs the sequential
+// baseline and then every other configuration once, and a row's wall time
+// is its best round. Host drift over the run (other load, frequency
+// changes) then hits the baseline and the configuration alike, instead of
+// landing on whichever side ran during it.
+//
 // --smoke: tiny trial counts, parity assertions only, no JSON — wired into
 // ctest so every CI push exercises the parallel path.
 
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -150,7 +157,10 @@ int main(int argc, char** argv) {
   const bool smoke = args.smoke;
 
   const size_t host_cores = std::thread::hardware_concurrency();
-  const int reps = smoke ? 1 : 2;
+  // Exhaustive rows run for tens of milliseconds, so one slow round moves
+  // their best more than it moves a randomized row's: they get more rounds.
+  const int reps = smoke ? 1 : 3;
+  const int exhaustive_reps = smoke ? 1 : 7;
   const uint64_t seed = 20260730;
 
   struct Config {
@@ -209,18 +219,26 @@ int main(int argc, char** argv) {
                   workload.status().ToString().c_str());
     const size_t ops = SerialOpCount(*workload);
 
-    double baseline_ms = 0;
-    SearchOutcome reference;  // the cache-on outcome all thread counts must match
-    bool have_reference = false;
-    for (const Config& config : grid) {
+    // grid[0] is the sequential/uncached baseline.
+    std::vector<SearchOutcome> outcomes(grid.size());
+    std::vector<std::function<void()>> runs;
+    for (size_t c = 0; c < grid.size(); ++c) {
       SearchConfig search;
       search.trials = bench_case.trials;
-      search.threads = config.threads;
-      search.share_solver_cache = config.cache;
-      SearchOutcome outcome;
-      const double ms = bench::BestOfMs(
-          reps, [&] { outcome = MustSearch(*workload, search, seed); });
-      if (config.threads == 1 && !config.cache) baseline_ms = ms;
+      search.threads = grid[c].threads;
+      search.share_solver_cache = grid[c].cache;
+      runs.push_back([&, search, c] {
+        outcomes[c] = MustSearch(*workload, search, seed);
+      });
+    }
+    const std::vector<double> walls = bench::BestOfInterleavedMs(reps, runs);
+    const double baseline_ms = walls[0];
+    SearchOutcome reference;  // the cache-on outcome all thread counts must match
+    bool have_reference = false;
+    for (size_t c = 0; c < grid.size(); ++c) {
+      const Config& config = grid[c];
+      const SearchOutcome& outcome = outcomes[c];
+      const double ms = walls[c];
       if (config.cache) {
         // Determinism contract: identical outcomes for every thread count.
         if (!have_reference) {
@@ -273,19 +291,28 @@ int main(int argc, char** argv) {
                                               {2, true, false},
                                               {8, true, false}};
 
-    double exh_baseline_ms = 0;
-    SearchOutcome exh_reference;
-    bool have_exh_reference = false;
-    for (const ExhaustiveConfig& config : exhaustive_grid) {
+    // exhaustive_grid[0] is the reference baseline.
+    std::vector<SearchOutcome> exh_outcomes(exhaustive_grid.size());
+    std::vector<std::function<void()>> exh_runs;
+    for (size_t c = 0; c < exhaustive_grid.size(); ++c) {
       ExhaustiveSearchConfig search;
       search.interleaving_limit = limit;
-      search.threads = config.threads;
-      search.share_solver_cache = config.cache;
-      SearchOutcome outcome;
-      const double ms = bench::BestOfMs(reps, [&] {
-        outcome = MustExhaustive(*workload, *states, search, config.reference);
+      search.threads = exhaustive_grid[c].threads;
+      search.share_solver_cache = exhaustive_grid[c].cache;
+      exh_runs.push_back([&, search, c] {
+        exh_outcomes[c] = MustExhaustive(*workload, *states, search,
+                                         exhaustive_grid[c].reference);
       });
-      if (config.reference) exh_baseline_ms = ms;
+    }
+    const std::vector<double> exh_walls =
+        bench::BestOfInterleavedMs(exhaustive_reps, exh_runs);
+    const double exh_baseline_ms = exh_walls[0];
+    SearchOutcome exh_reference;
+    bool have_exh_reference = false;
+    for (size_t c = 0; c < exhaustive_grid.size(); ++c) {
+      const ExhaustiveConfig& config = exhaustive_grid[c];
+      const SearchOutcome& outcome = exh_outcomes[c];
+      const double ms = exh_walls[c];
       if (!have_exh_reference) {
         exh_reference = outcome;
         have_exh_reference = true;

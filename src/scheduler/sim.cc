@@ -16,7 +16,6 @@ namespace {
 struct TxnRuntime {
   bool done = false;
   bool committed = false;
-  bool admitted = false;  // passed the admission gate
   bool blocked = false;   // last step answered kWait
   bool boosted = false;   // starvation watchdog fired
   bool parked = false;    // boosted but waiting for the privileged one
@@ -24,6 +23,30 @@ struct TxnRuntime {
   uint64_t resume_tick = 0;  // abort backoff / latency spike: idle until then
   uint64_t arrival = 0;      // effective (possibly perturbed) arrival tick
 };
+
+void InsertSorted(std::vector<size_t>& set, size_t id) {
+  set.insert(std::upper_bound(set.begin(), set.end(), id), id);
+}
+
+void EraseSorted(std::vector<size_t>& set, size_t id) {
+  auto it = std::lower_bound(set.begin(), set.end(), id);
+  if (it != set.end() && *it == id) set.erase(it);
+}
+
+/// Calls `step(id)` for each id of the sorted `set` in [from, to), in
+/// increasing order. `step` may insert into or erase from `set`: the walk
+/// re-seeks past the id it just stepped, so an id inserted behind it waits
+/// for the next walk and one inserted ahead of it is stepped in this one.
+template <typename Step>
+void WalkSorted(const std::vector<size_t>& set, size_t from, size_t to,
+                Step step) {
+  auto it = std::lower_bound(set.begin(), set.end(), from);
+  while (it != set.end() && *it < to) {
+    const size_t id = *it;
+    step(id);
+    it = std::upper_bound(set.begin(), set.end(), id);
+  }
+}
 
 }  // namespace
 
@@ -54,20 +77,22 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
                    [&](size_t a, size_t b) {
                      return runtime[a].arrival < runtime[b].arrival;
                    });
-  size_t live_txns = 0;
+
+  // The tick's working set, kept explicit so that a tick touches only the
+  // transactions it can move. `live` holds the admitted, unfinished script
+  // indices and `boosted` the boosted, unfinished ones, both sorted;
+  // `next_admit` is the first entry of admission_order not yet admitted or
+  // shed.
+  std::vector<size_t> live;
+  std::vector<size_t> boosted;
+  size_t next_admit = 0;
+  size_t done_count = 0;
 
   // Persistent waits-for graph across stall ticks: each tick only diffs the
   // blocker sets against the previous tick (usually unchanged), instead of
   // rebuilding a graph and running a DFS per tick.
   WaitsForTracker waits;
   waits.EnsureTxns(n);
-
-  auto all_done = [&]() {
-    for (const auto& rt : runtime) {
-      if (!rt.done) return false;
-    }
-    return true;
-  };
 
   uint64_t tick = 0;
   uint64_t stalled_ticks = 0;  // consecutive blocked-but-no-victim ticks
@@ -84,19 +109,14 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
   // each zero-cost restart draws a fresh stamp that re-rejects the other),
   // so escalations are strictly serialized.
   auto privileged_boosted = [&]() -> TxnId {
-    for (size_t i = 0; i < n; ++i) {
-      if (runtime[i].boosted && !runtime[i].done) {
-        return static_cast<TxnId>(i + 1);
-      }
-    }
-    return 0;
+    return boosted.empty() ? 0 : static_cast<TxnId>(boosted.front() + 1);
   };
 
   // Wake every parked transaction (called when a boosted transaction
-  // finishes and the privilege transfers).
+  // finishes and the privilege transfers). Only boosted ones park.
   auto wake_parked = [&]() {
-    for (size_t i = 0; i < n; ++i) {
-      if (runtime[i].parked && !runtime[i].done) {
+    for (size_t i : boosted) {
+      if (runtime[i].parked) {
         runtime[i].parked = false;
         runtime[i].resume_tick = tick + 1;
       }
@@ -119,6 +139,7 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
       // Starvation watchdog: past the cap the transaction is escalated
       // instead of livelocking through delays it always loses.
       vrt.boosted = true;
+      InsertSorted(boosted, victim - 1);
       ++result.boosts;
     }
     if (vrt.boosted) {
@@ -153,21 +174,21 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
     rt.committed = committed;
     rt.blocked = false;
     rt.completion_tick = tick;
-    --live_txns;
-    if (rt.boosted) wake_parked();  // the privilege transfers
+    ++done_count;
+    EraseSorted(live, i);
+    if (rt.boosted) {
+      EraseSorted(boosted, i);
+      wake_parked();  // the privilege transfers
+    }
   };
 
-  // One transaction's turn within a tick; sets the progress/pending flags.
+  // One live transaction's turn within a tick; sets the progress/pending
+  // flags.
   std::vector<TxnId> condemned;
   auto attempt = [&](size_t i) {
     TxnRuntime& rt = runtime[i];
     TxnRunner& runner = runners[i];
     TxnId txn = static_cast<TxnId>(i + 1);
-    if (rt.done) return;
-    if (!rt.admitted) {
-      pending_admission = true;
-      return;
-    }
     if (rt.resume_tick > tick) {
       pending_arrival = true;
       pending_backoff = true;
@@ -226,45 +247,48 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
   };
 
   for (; tick < config.max_ticks; ++tick) {
-    if (all_done()) break;
+    if (done_count == n) break;
     progress = false;
-    pending_arrival = false;
     pending_backoff = false;
-    pending_admission = false;
 
     // Admission gate, in (arrival, id) order: every arrived transaction is
     // admitted while the gate has room; with kShed, arrivals that find the
     // gate full are dropped on the spot (graceful degradation — the
-    // alternative under overload is unbounded queueing).
-    for (size_t i : admission_order) {
-      TxnRuntime& rt = runtime[i];
-      if (rt.done || rt.admitted || rt.arrival > tick) continue;
-      if (rp.max_live_txns == 0 || live_txns < rp.max_live_txns) {
-        rt.admitted = true;
-        ++live_txns;
+    // alternative under overload is unbounded queueing). With kQueue the
+    // cursor stops at the first arrival the gate turns away: the gate stays
+    // full for every later one this tick.
+    for (; next_admit < n; ++next_admit) {
+      const size_t i = admission_order[next_admit];
+      if (runtime[i].arrival > tick) break;
+      if (rp.max_live_txns == 0 || live.size() < rp.max_live_txns) {
+        InsertSorted(live, i);
       } else if (rp.overflow == RestartPolicy::Overflow::kShed) {
-        rt.done = true;
+        runtime[i].done = true;
+        ++done_count;
         ++result.shed;
         progress = true;
+      } else {
+        break;
       }
     }
+    pending_admission = next_admit < n &&
+                        runtime[admission_order[next_admit]].arrival <= tick;
+    pending_arrival = runtime[admission_order.back()].arrival > tick;
 
-    for (size_t i = 0; i < n; ++i) {
-      // Starvation watchdog: boosted transactions go first, in id order —
-      // they stopped paying backoff, and winning the intra-tick race is
-      // what converts "restarts forever" into "commits next".
-      if (runtime[i].boosted && !runtime[i].done) attempt(i);
-    }
-    for (size_t k = 0; k < n; ++k) {
-      // Rotate the scan origin for fairness while staying deterministic.
-      size_t i = (k + static_cast<size_t>(tick)) % n;
-      if (runtime[i].boosted) continue;  // already had its boosted turn
-      if (!runtime[i].done && runtime[i].arrival > tick) {
-        pending_arrival = true;
-        continue;
-      }
-      attempt(i);
-    }
+    // Starvation watchdog: boosted transactions go first, in id order —
+    // they stopped paying backoff, and winning the intra-tick race is what
+    // converts "restarts forever" into "commits next". A transaction
+    // boosted during this walk joins it only if its id is past the current
+    // one, as in a scan of every id.
+    WalkSorted(boosted, 0, n, attempt);
+    // Then every other live transaction, from the rotated scan origin
+    // tick % n upwards and wrapping round (fairness, deterministically).
+    const size_t origin = static_cast<size_t>(tick % n);
+    auto attempt_unboosted = [&](size_t i) {
+      if (!runtime[i].boosted) attempt(i);  // else it had its boosted turn
+    };
+    WalkSorted(live, origin, n, attempt_unboosted);
+    WalkSorted(live, 0, origin, attempt_unboosted);
     if (!failure.ok()) return failure;
 
     if (progress) {
@@ -275,14 +299,13 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
     // No transaction moved: look for a deadlock among blocked transactions.
     // The tracker diffs each blocker set against the previous stall tick's,
     // so an unchanged waits-for relation does no graph work and the cycle
-    // query is O(1).
+    // query is O(1). Only live transactions can hold wait edges: retire and
+    // restart_txn resolve a transaction's edges as it leaves or rewinds,
+    // and one not yet admitted never waited.
     bool any_blocked = false;
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i : live) {
       TxnId txn = static_cast<TxnId>(i + 1);
-      bool eligible = !runtime[i].done && runtime[i].admitted &&
-                      runtime[i].arrival <= tick &&
-                      runtime[i].resume_tick <= tick;
-      if (eligible && runtime[i].blocked) {
+      if (runtime[i].blocked && runtime[i].resume_tick <= tick) {
         any_blocked = true;
         waits.SetWaits(txn,
                        policy.Blockers(txn, scripts[i], runners[i].pc()));
@@ -329,7 +352,7 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
     restart_txn(victim, TxnRunner::Cause::kDeadlock);
   }
 
-  if (!all_done()) {
+  if (done_count != n) {
     return Status::Internal(
         StrCat("simulation exceeded max_ticks=", config.max_ticks));
   }

@@ -1,5 +1,6 @@
-// Tick-based concurrency simulator. Each tick, every active transaction
-// attempts its next scripted operation; the policy grants or blocks it.
+// Tick-based concurrency simulator. Each tick, every live (admitted,
+// unfinished) transaction attempts its next scripted operation; the policy
+// grants or blocks it.
 // Deadlocks are detected on the waits-for graph and resolved by aborting the
 // largest-id transaction in the cycle, which restarts from scratch. The
 // result carries performance metrics (waits, makespan, throughput) and the
@@ -14,6 +15,15 @@
 // this driver has — a starvation watchdog that boosts a transaction past
 // its restart cap, and an admission gate (max live transactions; overflow
 // queued or shed).
+//
+// Cost: a tick costs O(live + boosted) plus the policy calls it makes, not
+// O(scripts). The driver keeps its working set explicit — a sorted live
+// set, a sorted boosted set, an admission cursor and a done counter — and
+// never loops over all scripts inside a tick. Scan order: boosted
+// transactions first in id order, then the live ids in order from the
+// first id >= tick % n, wrapping round (n = scripts.size()). That is the
+// order of a rotated scan over every id with the non-live ones skipped, so
+// a run is bit-identical to that scan's: same trace, same counters.
 
 #ifndef NSE_SCHEDULER_SIM_H_
 #define NSE_SCHEDULER_SIM_H_
