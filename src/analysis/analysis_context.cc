@@ -13,9 +13,11 @@ namespace {
 /// over S. Conflicts are same-item, so the graph of S^{d_e} is the sweep of
 /// S restricted to the items of d_e: each access feeds one ConflictBitSweep
 /// per conjunct holding its item, in that conjunct's local txn indices, and
-/// every emitted edge goes straight into the graph at its full-schedule
-/// position. No projected schedule is materialized, and an item shared by
-/// overlapping conjuncts feeds each of them.
+/// every emitted edge goes straight into the batch graph and its emission
+/// log at its full-schedule position. No projected schedule is
+/// materialized, and an item shared by overlapping conjuncts feeds each of
+/// them. A Kahn pass then decides each graph; only a cyclic one replays
+/// its log to record the first cycle (ConflictGraph::ReplayFirstCycle).
 std::vector<ConflictGraph> BuildConjunctGraphs(const Schedule& schedule,
                                                const IntegrityConstraint& ic) {
   const size_t num_conjuncts = ic.num_conjuncts();
@@ -57,6 +59,7 @@ std::vector<ConflictGraph> BuildConjunctGraphs(const Schedule& schedule,
   }
   std::vector<ConflictGraph> graphs;
   std::vector<internal::ConflictBitSweep> sweeps;
+  std::vector<internal::EmissionLog> logs(num_conjuncts);
   graphs.reserve(num_conjuncts);
   sweeps.reserve(num_conjuncts);
   for (size_t e = 0; e < num_conjuncts; ++e) {
@@ -68,7 +71,7 @@ std::vector<ConflictGraph> BuildConjunctGraphs(const Schedule& schedule,
       nodes.push_back(txn_ids[idx]);
     }
     sweeps.emplace_back(static_cast<uint32_t>(nodes.size()));
-    graphs.emplace_back(std::move(nodes), CycleMode::kIncremental);
+    graphs.emplace_back(std::move(nodes));
   }
 
   for (size_t pos = 0; pos < ops.size(); ++pos) {
@@ -78,12 +81,21 @@ std::vector<ConflictGraph> BuildConjunctGraphs(const Schedule& schedule,
     for (const Feed& feed : feeds[op.entity]) {
       const uint32_t to = local[feed.conjunct * n + idx];
       ConflictGraph& graph = graphs[feed.conjunct];
+      internal::EmissionLog& log = logs[feed.conjunct];
       sweeps[feed.conjunct].Access(
           to, op.is_write(), feed.slot,
-          [&graph, to, pos](uint32_t from) {
+          [&graph, &log, to, pos](uint32_t from) {
             graph.AddEdgeByIndexAt(from, to, pos);
+            log.Append(from, to, pos);
           });
     }
+  }
+  sweeps.clear();  // frees the emitted bitsets before the Kahn passes
+
+  for (size_t e = 0; e < num_conjuncts; ++e) {
+    if (graphs[e].IsAcyclic()) continue;
+    graphs[e].ReplayFirstCycle(logs[e],
+                               logs[e].SeedOrder(graphs[e].nodes().size()));
   }
   return graphs;
 }
@@ -134,7 +146,7 @@ const IntegrityConstraint& AnalysisContext::ic() const {
 
 const ConflictGraph& AnalysisContext::conflict_graph() {
   if (!conflict_graph_.has_value()) {
-    conflict_graph_ = ConflictGraph::Build(*schedule_, CycleMode::kIncremental);
+    conflict_graph_ = ConflictGraph::Build(*schedule_);
     ++stats_.conflict_graph_builds;
   }
   return *conflict_graph_;

@@ -127,6 +127,29 @@ ConflictGraph::ConflictGraph(std::vector<TxnId> nodes, CycleMode mode)
   }
 }
 
+namespace internal {
+
+std::vector<uint32_t> EmissionLog::SeedOrder(size_t num_nodes) const {
+  std::vector<uint32_t> order;
+  order.reserve(num_nodes);
+  std::vector<bool> ranked(num_nodes, false);
+  auto rank = [&](uint32_t node) {
+    if (ranked[node]) return;
+    ranked[node] = true;
+    order.push_back(node);
+  };
+  for (size_t a = 0; a < accesses_.size(); ++a) {
+    const size_t end =
+        a + 1 < accesses_.size() ? accesses_[a + 1].begin : froms_.size();
+    for (size_t k = accesses_[a].begin; k < end; ++k) rank(froms_[k]);
+    rank(accesses_[a].to);
+  }
+  for (uint32_t node = 0; node < num_nodes; ++node) rank(node);
+  return order;
+}
+
+}  // namespace internal
+
 ConflictGraph ConflictGraph::Build(const Schedule& schedule, CycleMode mode) {
   // Dense bitset sweep: first-occurrence conflict pairs only, so the graph
   // sees no duplicate inserts at all and hot items cost word scans instead
@@ -135,19 +158,60 @@ ConflictGraph ConflictGraph::Build(const Schedule& schedule, CycleMode mode) {
   // bit-identical to the reference build.
   ConflictGraph graph(schedule.txn_ids(), mode);
   const std::vector<TxnId>& txn_ids = schedule.txn_ids();
-  internal::ConflictBitSweep sweep(static_cast<uint32_t>(txn_ids.size()));
+  const bool batch = mode == CycleMode::kBatch;
+  internal::EmissionLog log;
   const OpSequence& ops = schedule.ops();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const Operation& op = ops[i];
-    const uint32_t idx = static_cast<uint32_t>(
-        std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
-        txn_ids.begin());
-    sweep.Access(idx, op.is_write(), op.entity,
-                 [&graph, idx, i](uint32_t from) {
-                   graph.AddEdgeByIndexAt(from, idx, i);
-                 });
+  {  // the sweep's bitsets are freed before the Kahn pass and the replay
+    internal::ConflictBitSweep sweep(static_cast<uint32_t>(txn_ids.size()));
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const Operation& op = ops[i];
+      const uint32_t idx = static_cast<uint32_t>(
+          std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
+          txn_ids.begin());
+      sweep.Access(idx, op.is_write(), op.entity,
+                   [&graph, &log, batch, idx, i](uint32_t from) {
+                     graph.AddEdgeByIndexAt(from, idx, i);
+                     if (batch) log.Append(from, idx, i);
+                   });
+    }
+  }
+  if (batch && !graph.IsAcyclic()) {
+    graph.ReplayFirstCycle(log, log.SeedOrder(txn_ids.size()));
   }
   return graph;
+}
+
+void ConflictGraph::ReplayFirstCycle(
+    const internal::EmissionLog& log,
+    const std::vector<uint32_t>& initial_order) {
+  NSE_CHECK_MSG(mode_ == CycleMode::kBatch && !cycle_.has_value(),
+                "ReplayFirstCycle requires a batch graph with no cycle record");
+  NSE_CHECK_MSG(initial_order.size() == nodes_.size(),
+                "initial order must rank all %zu nodes", nodes_.size());
+  ConflictGraph replay(nodes_, CycleMode::kIncremental);
+  std::fill(replay.ord_.begin(), replay.ord_.end(), UINT64_MAX);
+  for (uint32_t rank = 0; rank < initial_order.size(); ++rank) {
+    const uint32_t node = initial_order[rank];
+    NSE_CHECK_MSG(node < nodes_.size() && replay.ord_[node] == UINT64_MAX,
+                  "initial order must list each node index once");
+    replay.ord_[node] = rank;
+  }
+  const std::vector<internal::EmissionLog::Access>& accesses = log.accesses_;
+  for (size_t a = 0; a < accesses.size(); ++a) {
+    const size_t end =
+        a + 1 < accesses.size() ? accesses[a + 1].begin : log.froms_.size();
+    for (size_t k = accesses[a].begin; k < end; ++k) {
+      replay.AddEdgeByIndexAt(log.froms_[k], accesses[a].to,
+                              accesses[a].op_pos);
+      if (replay.cycle_.has_value()) {
+        cycle_ = std::move(replay.cycle_);
+        cycle_edge_ = replay.cycle_edge_;
+        cycle_op_pos_ = replay.cycle_op_pos_;
+        return;
+      }
+    }
+  }
+  NSE_CHECK_MSG(false, "emission log replay closed no cycle");
 }
 
 size_t ConflictGraph::IndexOf(TxnId txn) const {

@@ -10,17 +10,25 @@
 // serialization-order queries on the same graph are free. Build sweeps the
 // schedule once per item history instead of comparing all operation pairs.
 //
-// CycleMode::kIncremental additionally maintains an *online* topological
-// order updated in place on every insertion with the Pearce–Kelly
-// algorithm: an edge whose endpoints already agree with the order costs
-// O(1), otherwise only the affected region between the endpoints is
-// searched and reordered — so acyclicity is an O(1) query after every
-// AddEdge instead of an O(V+E) recomputation. The first cycle-closing edge
+// Build (in its default kBatch mode) and AnalysisContext's conjunct graphs
+// build in batch mode: one Kahn pass decides acyclicity, and only a cyclic graph pays for its
+// witness — the emission order, logged during the sweep, is replayed into
+// an incremental graph up to the first cycle (ReplayFirstCycle). So a
+// batch-built graph reports the same first cycle, closing edge and
+// operation position as an incremental build, without maintaining an
+// online order on every insert.
+//
+// CycleMode::kIncremental maintains an *online* topological order updated
+// in place on every insertion with the Pearce–Kelly algorithm: an edge
+// whose endpoints already agree with the order costs O(1), otherwise only
+// the affected region between the endpoints is searched and reordered — so
+// acyclicity is an O(1) query after every AddEdge instead of an O(V+E)
+// recomputation, and edges can be retracted. The first cycle-closing edge
 // is recorded together with a cycle witness (and, when supplied, the
-// schedule position of the operation that created the edge), which is what
-// the scheduler policies, the deadlock-victim selection in the simulator
-// and the CSR fast path of AnalysisContext consume. The batch DFS
-// (FindCycle) is kept unchanged as the cross-checked reference.
+// schedule position of the operation that created the edge). Its consumers
+// are the ones that ask after every insert or remove edges: the SGT
+// policies, the simulator's waits-for graph and the streaming checker. The
+// batch DFS (FindCycle) is kept unchanged as the cross-checked reference.
 
 #ifndef NSE_ANALYSIS_CONFLICT_GRAPH_H_
 #define NSE_ANALYSIS_CONFLICT_GRAPH_H_
@@ -35,12 +43,20 @@
 
 namespace nse {
 
+namespace internal {
+class EmissionLog;
+}  // namespace internal
+
 /// How a ConflictGraph answers cycle queries.
 enum class CycleMode : uint8_t {
   /// Acyclicity / topo order recomputed on demand (cached per revision).
+  /// Build and AnalysisContext graphs additionally carry the first-cycle
+  /// record of an incremental build (ReplayFirstCycle).
   kBatch,
   /// Online topological order maintained per insertion (Pearce–Kelly);
-  /// acyclicity is O(1), the first cycle-closing edge is recorded.
+  /// acyclicity is O(1), the first cycle-closing edge is recorded, edges
+  /// can be removed. For consumers that query or retract between inserts:
+  /// SGT, the waits-for graph and the streaming checker.
   kIncremental,
 };
 
@@ -55,14 +71,31 @@ class ConflictGraph {
   explicit ConflictGraph(std::vector<TxnId> nodes,
                          CycleMode mode = CycleMode::kBatch);
 
-  /// Builds the graph from `schedule`. In incremental mode the first
-  /// cycle-closing edge additionally records the schedule position of the
-  /// operation that created it (cycle_op_pos). Uses the dense bitset sweep
-  /// (ConflictBitSweep); bit-identical by construction to the vector-scan
-  /// reference builder in tests/oracles, and pinned so by the fuzz
-  /// differential.
+  /// Builds the graph from `schedule`. In either mode the first
+  /// cycle-closing edge, its witness and the schedule position of the
+  /// operation that created it (cycle_op_pos) are recorded: incrementally
+  /// in kIncremental mode, and in kBatch mode by one Kahn pass plus, only
+  /// when it is cyclic, ReplayFirstCycle over the sweep's emission order.
+  /// Uses the dense bitset sweep (ConflictBitSweep); bit-identical by
+  /// construction to the vector-scan reference builder in tests/oracles,
+  /// and pinned so by the fuzz differential.
   static ConflictGraph Build(const Schedule& schedule,
                              CycleMode mode = CycleMode::kBatch);
+
+  /// Recovers the first cycle of a cyclic batch graph. Replays `log` —
+  /// the order in which this graph's edges were emitted, with the position
+  /// of the operation behind each — into an incremental graph over the same
+  /// nodes, stops at the first cycle-closing edge, and records that cycle,
+  /// edge and position here: exactly what an incremental build fed the
+  /// same emission order records. `initial_order` lists every node index
+  /// once and seeds the replay's online order; any permutation gives the
+  /// same witness (Pearce–Kelly's cycle test and witness search depend
+  /// only on the edges inserted so far), so it only sets the cost; the
+  /// builders pass log.SeedOrder, under which most edges already agree
+  /// with the order. The graph must be kBatch and cyclic, and `log` must
+  /// hold all of its edges.
+  void ReplayFirstCycle(const internal::EmissionLog& log,
+                        const std::vector<uint32_t>& initial_order);
 
   /// Transactions (nodes), ascending by id.
   const std::vector<TxnId>& nodes() const { return nodes_; }
@@ -95,27 +128,29 @@ class ConflictGraph {
   /// from older nodes cost O(1) to order.
   void RemoveEdgesOf(TxnId txn);
 
-  // ---- incremental cycle state (kIncremental) --------------------------
+  // ---- first-cycle state (kIncremental, and kBatch after a replay) ------
 
   /// True iff a cycle has been detected. O(1) in incremental mode; in
   /// batch mode equivalent to !IsAcyclic().
   bool has_cycle() const;
 
   /// The first cycle-closing edge (from, to) as txn ids, or nullopt while
-  /// acyclic. After a removal-triggered re-detection this is the closing
-  /// edge of the freshly discovered cycle.
+  /// acyclic (and on batch graphs that did not go through
+  /// ReplayFirstCycle). After a removal-triggered re-detection this is the
+  /// closing edge of the freshly discovered cycle.
   const std::optional<std::pair<TxnId, TxnId>>& cycle_edge() const {
     return cycle_edge_;
   }
 
   /// Schedule position of the operation that closed the cycle, when the
-  /// cycle-closing edge was inserted with AddEdgeByIndexAt (Build and
-  /// AnalysisContext's conjunct graphs record positions; waits-for edges
-  /// have none).
+  /// cycle-closing edge was inserted with AddEdgeByIndexAt or replayed
+  /// (Build and AnalysisContext's conjunct graphs record positions;
+  /// waits-for edges have none).
   const std::optional<size_t>& cycle_op_pos() const { return cycle_op_pos_; }
 
   /// The recorded cycle witness (txn ids, first == last), or nullopt while
-  /// acyclic. Incremental mode only; batch callers use FindCycle.
+  /// acyclic. Recorded by incremental graphs and by batch graphs that went
+  /// through ReplayFirstCycle; other batch callers use FindCycle.
   const std::optional<std::vector<TxnId>>& cycle() const { return cycle_; }
 
   /// The maintained online topological order (incremental mode, acyclic
@@ -388,6 +423,43 @@ class ConflictBitSweep {
   size_t words_;
   std::vector<ItemBits> items_;
   std::vector<uint64_t> emitted_;  // txns × words_
+};
+
+/// The emission order of one batch build, kept so that a cyclic graph's
+/// first cycle can be replayed (ConflictGraph::ReplayFirstCycle) without
+/// an online order maintained during the build: the `from` node index of
+/// every emitted edge, plus one (to, op_pos) header per access that emitted
+/// edges — about 4 B per edge. Builders drop it once acyclicity is decided.
+class EmissionLog {
+ public:
+  /// Logs the edge from → to, created by the operation at `op_pos`. Edges
+  /// of one access arrive consecutively and share its header.
+  void Append(uint32_t from, uint32_t to, size_t op_pos) {
+    if (accesses_.empty() || accesses_.back().op_pos != op_pos ||
+        accesses_.back().to != to) {
+      accesses_.push_back({op_pos, to, static_cast<uint32_t>(froms_.size())});
+    }
+    froms_.push_back(from);
+  }
+
+  /// The replay's initial order over `num_nodes` node indices: first
+  /// appearance in the log, each access's sources before its target, then
+  /// the nodes no edge touches. It ranks nodes about as their first
+  /// accesses do, so most logged edges agree with it and cost Pearce–Kelly
+  /// O(1) — the identity order of txn ids made the seed-1 certify_pwsr
+  /// replay about 3x slower.
+  std::vector<uint32_t> SeedOrder(size_t num_nodes) const;
+
+ private:
+  friend class nse::ConflictGraph;
+
+  struct Access {
+    size_t op_pos;
+    uint32_t to;
+    uint32_t begin;  // first of this access's entries in froms_
+  };
+  std::vector<Access> accesses_;
+  std::vector<uint32_t> froms_;
 };
 
 }  // namespace internal

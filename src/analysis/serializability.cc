@@ -19,9 +19,9 @@ CsrReport CsrReportFromGraph(const ConflictGraph& graph) {
   report.order = graph.TopologicalOrder();
   report.serializable = report.order.has_value();
   if (!report.serializable) {
-    // Fast path: a graph built with incremental detection already recorded
-    // the first cycle (and the edge / operation position that closed it) —
-    // no second DFS. Batch graphs fall back to the reference DFS.
+    // Fast path: Build and incremental graphs already recorded the first
+    // cycle (and the edge / operation position that closed it) — no second
+    // DFS. Hand-assembled batch graphs fall back to the reference DFS.
     if (graph.cycle().has_value()) {
       report.cycle = graph.cycle();
       report.cycle_edge = graph.cycle_edge();

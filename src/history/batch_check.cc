@@ -22,7 +22,8 @@ BatchPlaneReport PlaneFromCsr(const CsrReport& csr,
   BatchPlaneReport plane;
   plane.ok = csr.serializable;
   if (!csr.serializable) {
-    // Incremental builds always record the closing edge and its position.
+    // Context graphs always record the first cycle's closing edge and its
+    // position (replayed up to the cycle after the batch build).
     NSE_CHECK(csr.cycle_edge.has_value() && csr.cycle_op_pos.has_value() &&
               csr.cycle.has_value());
     HistoryViolation violation;

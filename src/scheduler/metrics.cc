@@ -11,9 +11,10 @@ namespace nse {
 
 TraceClassification ClassifyTrace(AnalysisContext& ctx) {
   TraceClassification out;
-  // The context builds its conflict graphs with incremental (Pearce–Kelly)
-  // detection, so a non-CSR verdict arrives with the cycle-closing edge's
-  // trace position already recorded — no extra DFS here.
+  // The context's cyclic conflict graphs carry their first cycle (replayed
+  // up to it after the batch build), so a non-CSR verdict arrives with the
+  // cycle-closing edge's trace position already recorded — no extra DFS
+  // here.
   const CsrReport& csr = ctx.csr_report();
   out.csr = csr.serializable;
   if (!out.csr) out.csr_cycle_op_pos = csr.cycle_op_pos;

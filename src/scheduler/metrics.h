@@ -24,7 +24,7 @@ struct TraceClassification {
   bool delayed_read = false;        ///< Definition 5
   bool strict = false;              ///< strict ⊂ ACA ⊆ DR
   /// When not CSR: the trace position whose operation closed the conflict
-  /// cycle (recorded by the incremental detection during the graph build).
+  /// cycle (the graph's first-cycle record; see ConflictGraph::Build).
   std::optional<size_t> csr_cycle_op_pos;
 
   /// Renders e.g. "CSR yes, PWSR yes, DR yes, strict no" (plus

@@ -100,7 +100,6 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
   bool progress = false;
   bool pending_arrival = false;   // not yet arrived, or in backoff/spike
   bool pending_backoff = false;   // in deliberate backoff or latency spike
-  bool pending_admission = false;  // arrived but queued at the gate
 
   // The transaction currently holding the watchdog's escalation privilege:
   // the lowest-id boosted, unfinished transaction (0 if none). Only it gets
@@ -271,8 +270,6 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
         break;
       }
     }
-    pending_admission = next_admit < n &&
-                        runtime[admission_order[next_admit]].arrival <= tick;
     pending_arrival = runtime[admission_order.back()].arrival > tick;
 
     // Starvation watchdog: boosted transactions go first, in id order —
@@ -320,7 +317,10 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
         stalled_ticks = 0;
         continue;
       }
-      if (pending_arrival || pending_admission) continue;  // quiet tick
+      // A transaction queued at the gate implies a full live set, whose
+      // members are blocked or backing off on a tick without progress, so
+      // the gate never decides here.
+      if (pending_arrival) continue;  // quiet tick
       return Status::Internal("simulation stalled with no blocked txn");
     }
     TxnId victim = 0;

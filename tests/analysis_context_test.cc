@@ -126,14 +126,20 @@ TEST_F(AnalysisContextTest, ContextReportsMatchFreeFunctions) {
     CsrReport direct = CheckConflictSerializability(s);
     EXPECT_EQ(ctx.csr_report().serializable, direct.serializable);
     EXPECT_EQ(ctx.csr_report().order, direct.order);
+    EXPECT_EQ(ctx.csr_report().cycle, direct.cycle);
+    EXPECT_EQ(ctx.csr_report().cycle_edge, direct.cycle_edge);
+    EXPECT_EQ(ctx.csr_report().cycle_op_pos, direct.cycle_op_pos);
 
     PwsrReport pwsr = CheckPwsr(s, *ic_);
     EXPECT_EQ(ctx.pwsr_report().is_pwsr, pwsr.is_pwsr);
     ASSERT_EQ(ctx.pwsr_report().per_conjunct.size(),
               pwsr.per_conjunct.size());
     for (size_t e = 0; e < pwsr.per_conjunct.size(); ++e) {
-      EXPECT_EQ(ctx.pwsr_report().per_conjunct[e].csr.serializable,
-                pwsr.per_conjunct[e].csr.serializable);
+      const CsrReport& cached = ctx.pwsr_report().per_conjunct[e].csr;
+      EXPECT_EQ(cached.serializable, pwsr.per_conjunct[e].csr.serializable);
+      EXPECT_EQ(cached.cycle, pwsr.per_conjunct[e].csr.cycle);
+      EXPECT_EQ(cached.cycle_edge, pwsr.per_conjunct[e].csr.cycle_edge);
+      EXPECT_EQ(cached.cycle_op_pos, pwsr.per_conjunct[e].csr.cycle_op_pos);
     }
 
     EXPECT_EQ(ctx.delayed_read(), IsDelayedRead(s));
