@@ -18,11 +18,12 @@
 //    vector sweep (oracles::BuildReference, tests/oracles) on a
 //    many-txns/few-items schedule, with a bit-identical-graph differential
 //    check before timing.
-//  * batch build scaling — incremental ConflictGraph::Build on one seeded
-//    dense generator at two sizes; `linearity` is ms/edge at the small
-//    size over ms/edge at the large one: ~1 for a build linear in the edge
-//    count, far below it for a super-linear one (an adjacency that
-//    compacted one shared slab on every region overflow read ~0.1).
+//  * batch build scaling — ConflictGraph::Build (the production batch
+//    build: sweep, Kahn pass, first-cycle replay) on one seeded dense
+//    generator at two sizes; `linearity` is ms/edge at the small size over
+//    ms/edge at the large one: ~1 for a build linear in the edge count, far
+//    below it for a super-linear one (an adjacency that compacted one
+//    shared slab on every region overflow read ~0.1).
 //
 // Both modes run the same deterministic edge stream (seeded Rng); the
 // incremental verdicts are NSE_CHECKed against the batch DFS reference on
@@ -170,7 +171,7 @@ double RunInsertQuery(size_t num_txns, size_t edges, uint64_t seed,
     uint32_t from = static_cast<uint32_t>(rng.NextBelow(num_txns));
     uint32_t to = static_cast<uint32_t>(rng.NextBelow(num_txns));
     if (from == to) continue;
-    graph.AddEdgeByIndex(from, to);
+    graph.AddEdgeByIndexAt(from, to, i);
     if (!graph.IsAcyclic() && cyclic_at == 0) cyclic_at = i + 1;
   }
   auto end = std::chrono::steady_clock::now();
@@ -378,7 +379,7 @@ int main(int argc, char** argv) {
     const size_t txns = k == 0 ? small_txns : large_txns;
     const Schedule schedule = RandomSchedule(txns, 64, 4 * txns, 37);
     scaling_ms[k] = bench::BestOfMs(reps, [&] {
-      ConflictGraph g = ConflictGraph::Build(schedule, CycleMode::kIncremental);
+      ConflictGraph g = ConflictGraph::Build(schedule);
       scaling_edges[k] = g.num_edges();
     });
   }

@@ -11,17 +11,6 @@ namespace nse {
 
 namespace {
 
-/// Test-and-set of `accessor`'s bit in a lazily grown word vector; returns
-/// true when the bit was newly set.
-bool TestAndSetBit(std::vector<uint64_t>& words, uint32_t accessor) {
-  const size_t w = accessor >> 6;
-  if (w >= words.size()) words.resize(w + 1, 0);
-  const uint64_t bit = uint64_t{1} << (accessor & 63);
-  if ((words[w] & bit) != 0) return false;
-  words[w] |= bit;
-  return true;
-}
-
 bool TestBit(const std::vector<uint64_t>& words, uint32_t accessor) {
   const size_t w = accessor >> 6;
   return w < words.size() &&
@@ -57,11 +46,8 @@ bool SortedErase(std::vector<uint32_t>& list, uint32_t value) {
 void ConflictAccessIndex::Record(uint32_t accessor, bool is_write,
                                  ItemId item) {
   if (item >= history_.size()) history_.resize(item + 1);
-  ItemHistory& h = history_[item];
-  if (!TestAndSetBit(is_write ? h.writer_bits : h.reader_bits, accessor)) {
-    return;
-  }
-  (is_write ? h.writers : h.readers).push_back(accessor);
+  internal::ItemHistory& h = history_[item];
+  if (!h.Record(accessor, is_write)) return;
   // First touch of the item in either role: remember it for Erase.
   if (!TestBit(is_write ? h.reader_bits : h.writer_bits, accessor)) {
     if (accessor >= touched_.size()) touched_.resize(accessor + 1);
@@ -72,7 +58,7 @@ void ConflictAccessIndex::Record(uint32_t accessor, bool is_write,
 void ConflictAccessIndex::Erase(uint32_t accessor) {
   if (accessor >= touched_.size()) return;
   for (ItemId item : touched_[accessor]) {
-    ItemHistory& h = history_[item];
+    internal::ItemHistory& h = history_[item];
     if (TestBit(h.writer_bits, accessor)) {
       ClearBit(h.writer_bits, accessor);
       h.writers.erase(
@@ -95,7 +81,7 @@ void ConflictAccessIndex::Erase(uint32_t accessor) {
 }
 
 bool ConflictAccessIndex::NoHistoryLists(uint32_t accessor) const {
-  for (const ItemHistory& h : history_) {
+  for (const internal::ItemHistory& h : history_) {
     if (TestBit(h.writer_bits, accessor) || TestBit(h.reader_bits, accessor) ||
         std::find(h.writers.begin(), h.writers.end(), accessor) !=
             h.writers.end() ||
@@ -108,22 +94,29 @@ bool ConflictAccessIndex::NoHistoryLists(uint32_t accessor) const {
 }
 
 ConflictGraph::ConflictGraph(std::vector<TxnId> nodes, CycleMode mode)
-    : nodes_(std::move(nodes)),
-      out_(nodes_.size()),
-      indegree_(nodes_.size(), 0),
-      mode_(mode) {
+    : mode_(mode) {
+  AppendNodes(std::move(nodes));
+}
+
+void ConflictGraph::AppendNodes(std::vector<TxnId> ids) {
   NSE_CHECK_MSG(
-      std::is_sorted(nodes_.begin(), nodes_.end()) &&
-          std::adjacent_find(nodes_.begin(), nodes_.end()) == nodes_.end(),
+      std::is_sorted(ids.begin(), ids.end()) &&
+          std::adjacent_find(ids.begin(), ids.end()) == ids.end() &&
+          (ids.empty() || nodes_.empty() || nodes_.back() < ids.front()),
       "conflict graph nodes must be sorted and distinct");
+  nodes_.insert(nodes_.end(), ids.begin(), ids.end());
+  const size_t n = nodes_.size();
+  out_.resize(n);
+  indegree_.resize(n, 0);
+  topo_valid_ = false;
   if (mode_ == CycleMode::kIncremental) {
-    in_.resize(nodes_.size());
-    ord_.resize(nodes_.size());
-    // Any order over an edgeless graph is topological; start at identity.
-    for (size_t i = 0; i < ord_.size(); ++i) ord_[i] = i;
-    next_rank_ = ord_.size();
-    mark_.assign(nodes_.size(), 0);
-    parent_.assign(nodes_.size(), UINT32_MAX);
+    in_.resize(n);
+    // Any rank is valid for an edgeless node; ranking the new nodes after
+    // every existing one leaves the maintained order (and a recorded
+    // cycle) untouched.
+    while (ord_.size() < n) ord_.push_back(next_rank_++);
+    mark_.resize(n, 0);
+    parent_.resize(n, UINT32_MAX);
   }
 }
 
@@ -150,15 +143,14 @@ std::vector<uint32_t> EmissionLog::SeedOrder(size_t num_nodes) const {
 
 }  // namespace internal
 
-ConflictGraph ConflictGraph::Build(const Schedule& schedule, CycleMode mode) {
+ConflictGraph ConflictGraph::Build(const Schedule& schedule) {
   // Dense bitset sweep: first-occurrence conflict pairs only, so the graph
   // sees no duplicate inserts at all and hot items cost word scans instead
   // of history walks. Emission order equals the reference sweep's
   // successful-insert order (see ConflictBitSweep), so the result is
   // bit-identical to the reference build.
-  ConflictGraph graph(schedule.txn_ids(), mode);
+  ConflictGraph graph(schedule.txn_ids());
   const std::vector<TxnId>& txn_ids = schedule.txn_ids();
-  const bool batch = mode == CycleMode::kBatch;
   internal::EmissionLog log;
   const OpSequence& ops = schedule.ops();
   {  // the sweep's bitsets are freed before the Kahn pass and the replay
@@ -169,13 +161,13 @@ ConflictGraph ConflictGraph::Build(const Schedule& schedule, CycleMode mode) {
           std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
           txn_ids.begin());
       sweep.Access(idx, op.is_write(), op.entity,
-                   [&graph, &log, batch, idx, i](uint32_t from) {
+                   [&graph, &log, idx, i](uint32_t from) {
                      graph.AddEdgeByIndexAt(from, idx, i);
-                     if (batch) log.Append(from, idx, i);
+                     log.Append(from, idx, i);
                    });
     }
   }
-  if (batch && !graph.IsAcyclic()) {
+  if (!graph.IsAcyclic()) {
     graph.ReplayFirstCycle(log, log.SeedOrder(txn_ids.size()));
   }
   return graph;
@@ -220,8 +212,8 @@ size_t ConflictGraph::IndexOf(TxnId txn) const {
   return static_cast<size_t>(it - nodes_.begin());
 }
 
-bool ConflictGraph::AddEdgeByIndexInternal(uint32_t from, uint32_t to,
-                                           std::optional<size_t> op_pos) {
+bool ConflictGraph::AddEdgeByIndexAt(uint32_t from, uint32_t to,
+                                     std::optional<size_t> op_pos) {
   if (!SortedInsert(out_[from], to)) return false;
   ++indegree_[to];
   ++num_edges_;
@@ -236,18 +228,9 @@ bool ConflictGraph::AddEdgeByIndexInternal(uint32_t from, uint32_t to,
   return true;
 }
 
-bool ConflictGraph::AddEdgeByIndex(uint32_t from, uint32_t to) {
-  return AddEdgeByIndexInternal(from, to, std::nullopt);
-}
-
-bool ConflictGraph::AddEdgeByIndexAt(uint32_t from, uint32_t to,
-                                     size_t op_pos) {
-  return AddEdgeByIndexInternal(from, to, op_pos);
-}
-
 bool ConflictGraph::AddEdge(TxnId from, TxnId to) {
-  return AddEdgeByIndex(static_cast<uint32_t>(IndexOf(from)),
-                        static_cast<uint32_t>(IndexOf(to)));
+  return AddEdgeByIndexAt(static_cast<uint32_t>(IndexOf(from)),
+                          static_cast<uint32_t>(IndexOf(to)), std::nullopt);
 }
 
 uint32_t ConflictGraph::NextStamp() const {

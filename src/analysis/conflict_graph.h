@@ -5,18 +5,20 @@
 // graph are exactly its serialization orders (Papadimitriou [13]).
 //
 // The graph is stored as sorted adjacency lists and supports incremental
-// edge insertion (AddEdge); the canonical topological order is computed on
-// demand and cached until the next insertion, so repeated acyclicity /
-// serialization-order queries on the same graph are free. Build sweeps the
-// schedule once per item history instead of comparing all operation pairs.
+// edge insertion (AddEdge) and in-place node growth (AppendNodes); the
+// canonical topological order is computed on demand and cached until the
+// next insertion, so repeated acyclicity / serialization-order queries on
+// the same graph are free.
 //
-// Build (in its default kBatch mode) and AnalysisContext's conjunct graphs
-// build in batch mode: one Kahn pass decides acyclicity, and only a cyclic graph pays for its
-// witness — the emission order, logged during the sweep, is replayed into
-// an incremental graph up to the first cycle (ReplayFirstCycle). So a
-// batch-built graph reports the same first cycle, closing edge and
-// operation position as an incremental build, without maintaining an
-// online order on every insert.
+// Build is batch-only, and so are AnalysisContext's conjunct graphs: one
+// sweep per item history (ConflictBitSweep) emits the edges, one Kahn pass
+// decides acyclicity, and only a cyclic graph pays for its witness — the
+// emission order, logged during the sweep, is replayed into an incremental
+// graph up to the first cycle (ReplayFirstCycle). So a batch-built graph
+// reports the same first cycle, closing edge and operation position as an
+// incremental build, without maintaining an online order on every insert.
+// The incremental build of a whole schedule lives in tests/oracles
+// (oracles::BuildReference) as the cross-checked reference.
 //
 // CycleMode::kIncremental maintains an *online* topological order updated
 // in place on every insertion with the Pearce–Kelly algorithm: an edge
@@ -44,14 +46,40 @@
 namespace nse {
 
 namespace internal {
+
 class EmissionLog;
+
+/// One item's access history: its distinct writers and readers in
+/// first-access order, with membership bitsets over accessor handles
+/// (64-bit words, lazily grown) so that Record dedupes with one
+/// test-and-set instead of a list scan. The one per-item history behind
+/// every conflict-edge producer: ConflictAccessIndex and ConflictBitSweep.
+struct ItemHistory {
+  std::vector<uint32_t> writers;  // distinct accessors, first-access order
+  std::vector<uint32_t> readers;
+  std::vector<uint64_t> writer_bits;  // membership of writers / readers
+  std::vector<uint64_t> reader_bits;
+
+  /// Records the access; returns true when `accessor` is new in that role.
+  bool Record(uint32_t accessor, bool is_write) {
+    std::vector<uint64_t>& bits = is_write ? writer_bits : reader_bits;
+    const size_t w = accessor >> 6;
+    if (w >= bits.size()) bits.resize(w + 1, 0);
+    const uint64_t bit = uint64_t{1} << (accessor & 63);
+    if ((bits[w] & bit) != 0) return false;
+    bits[w] |= bit;
+    (is_write ? writers : readers).push_back(accessor);
+    return true;
+  }
+};
+
 }  // namespace internal
 
 /// How a ConflictGraph answers cycle queries.
 enum class CycleMode : uint8_t {
   /// Acyclicity / topo order recomputed on demand (cached per revision).
-  /// Build and AnalysisContext graphs additionally carry the first-cycle
-  /// record of an incremental build (ReplayFirstCycle).
+  /// Build and AnalysisContext graphs are kBatch and additionally carry the
+  /// first-cycle record of an incremental build (ReplayFirstCycle).
   kBatch,
   /// Online topological order maintained per insertion (Pearce–Kelly);
   /// acyclicity is O(1), the first cycle-closing edge is recorded, edges
@@ -71,16 +99,15 @@ class ConflictGraph {
   explicit ConflictGraph(std::vector<TxnId> nodes,
                          CycleMode mode = CycleMode::kBatch);
 
-  /// Builds the graph from `schedule`. In either mode the first
-  /// cycle-closing edge, its witness and the schedule position of the
-  /// operation that created it (cycle_op_pos) are recorded: incrementally
-  /// in kIncremental mode, and in kBatch mode by one Kahn pass plus, only
-  /// when it is cyclic, ReplayFirstCycle over the sweep's emission order.
+  /// Builds the kBatch graph of `schedule`. The first cycle-closing edge,
+  /// its witness and the schedule position of the operation that created
+  /// it (cycle_op_pos) are recorded by one Kahn pass plus, only when the
+  /// graph is cyclic, ReplayFirstCycle over the sweep's emission order.
   /// Uses the dense bitset sweep (ConflictBitSweep); bit-identical by
-  /// construction to the vector-scan reference builder in tests/oracles,
-  /// and pinned so by the fuzz differential.
-  static ConflictGraph Build(const Schedule& schedule,
-                             CycleMode mode = CycleMode::kBatch);
+  /// construction to the vector-scan reference builder in tests/oracles
+  /// (whose kIncremental build records the same witness), and pinned so by
+  /// the fuzz differential.
+  static ConflictGraph Build(const Schedule& schedule);
 
   /// Recovers the first cycle of a cyclic batch graph. Replays `log` —
   /// the order in which this graph's edges were emitted, with the position
@@ -103,18 +130,25 @@ class ConflictGraph {
   /// The cycle-query mode this graph was constructed with.
   CycleMode cycle_mode() const { return mode_; }
 
+  /// Appends `ids` (sorted ascending, distinct, above every existing node)
+  /// as edgeless nodes, in place: existing edges, the maintained order and
+  /// any recorded cycle are kept, and the new nodes rank after every
+  /// existing node, so no edge is re-inserted. The streaming checker's slot
+  /// planes and the waits-for graph grow this way.
+  void AppendNodes(std::vector<TxnId> ids);
+
   /// Inserts the edge from → to (both must be nodes). Returns true when the
   /// edge is new; the cached topological state is invalidated only then.
   bool AddEdge(TxnId from, TxnId to);
 
-  /// AddEdge by positions into nodes() — the id lookups skipped. For bulk
-  /// producers that already work in node indices (the graph builders).
-  bool AddEdgeByIndex(uint32_t from, uint32_t to);
-
-  /// AddEdgeByIndex recording the schedule position of the operation that
-  /// created the edge: if this insertion closes the first cycle, the
-  /// position is reported as cycle_op_pos() (incremental mode).
-  bool AddEdgeByIndexAt(uint32_t from, uint32_t to, size_t op_pos);
+  /// AddEdge by positions into nodes() — the id lookups skipped — recording
+  /// the schedule position of the operation that created the edge: if this
+  /// insertion closes the first cycle, the position is reported as
+  /// cycle_op_pos() (incremental mode; AddEdge records none). For producers
+  /// that already work in node indices (the graph builders, the streaming
+  /// checker).
+  bool AddEdgeByIndexAt(uint32_t from, uint32_t to,
+                        std::optional<size_t> op_pos);
 
   /// Removes the edge from → to if present (incremental mode only; the
   /// simulator's waits-for graph retracts edges as blockers resolve).
@@ -238,9 +272,6 @@ class ConflictGraph {
   /// Fresh visit stamp for the bounded searches (avoids O(V) clears).
   uint32_t NextStamp() const;
 
-  bool AddEdgeByIndexInternal(uint32_t from, uint32_t to,
-                              std::optional<size_t> op_pos);
-
   std::vector<TxnId> nodes_;
   std::vector<std::vector<uint32_t>> out_;  // sorted successor indices
   std::vector<uint32_t> indegree_;          // by node index
@@ -267,9 +298,9 @@ class ConflictGraph {
 /// write) for consumers that must also *retract* accesses — the SGT
 /// policy's online veto check and the streaming checker's per-plane
 /// histories. Batch builds (ConflictGraph::Build, AnalysisContext's conjunct
-/// graphs) never retract and use the dense ConflictBitSweep instead.
-/// Accessors are caller-chosen uint32_t handles (raw txn ids for the
-/// scheduler, slots for the streaming checker).
+/// graphs) never retract and use the dense ConflictBitSweep over the same
+/// ItemHistory instead. Accessors are caller-chosen uint32_t handles (raw
+/// txn ids for the scheduler, slots for the streaming checker).
 class ConflictAccessIndex {
  public:
   /// Calls emit(prior) for every distinct prior accessor whose recorded
@@ -282,7 +313,7 @@ class ConflictAccessIndex {
   void ForEachConflict(uint32_t accessor, bool is_write, ItemId item,
                        EmitFn emit) const {
     if (item >= history_.size()) return;
-    const ItemHistory& h = history_[item];
+    const internal::ItemHistory& h = history_[item];
     for (uint32_t writer : h.writers) {
       if (writer != accessor) emit(writer);
     }
@@ -313,15 +344,7 @@ class ConflictAccessIndex {
   /// `accessor`. O(catalog); only called from NSE_DCHECK in Erase.
   bool NoHistoryLists(uint32_t accessor) const;
 
-  struct ItemHistory {
-    std::vector<uint32_t> writers;  // distinct accessors, insertion order
-    std::vector<uint32_t> readers;
-    // Membership bitsets over accessor handles (64-bit words, lazily
-    // grown): Record dedupes with one test-and-set instead of a list scan.
-    std::vector<uint64_t> writer_bits;
-    std::vector<uint64_t> reader_bits;
-  };
-  std::vector<ItemHistory> history_;
+  std::vector<internal::ItemHistory> history_;
   /// Accessor handle -> the distinct items it recorded, in first-access
   /// order: Erase visits exactly these instead of the whole catalog.
   std::vector<std::vector<ItemId>> touched_;
@@ -329,13 +352,14 @@ class ConflictAccessIndex {
 
 namespace internal {
 
-/// Dense fast path for the per-item conflict sweep: per-item reader/writer
-/// bitsets over txn indices plus one already-emitted bitset (txns × txns,
-/// 64-bit word blocks). An access whose conflicts were all emitted before —
-/// the common case on hot items — costs a few word scans and popcounts,
-/// with no per-accessor walk and no downstream dedupe work at all, because
-/// the emitted bitset is exactly the consumer-side dedupe pulled up front
-/// (an already-present pair is a no-op insert either way).
+/// Dense fast path for the per-item conflict sweep: the per-item histories
+/// (ItemHistory) plus one already-emitted bitset (txns × txns, 64-bit word
+/// blocks). An access whose conflicts were all emitted before — the common
+/// case on hot items — costs a few word scans and popcounts over the
+/// history's membership bits, with no per-accessor walk and no downstream
+/// dedupe work at all, because the emitted bitset is exactly the
+/// consumer-side dedupe pulled up front (an already-present pair is a no-op
+/// insert either way).
 ///
 /// First-occurrence emissions walk the recorded first-access orders, so
 /// the emitted pair sequence is exactly the reference sweep's sequence of
@@ -358,28 +382,20 @@ class ConflictBitSweep {
   template <typename EmitFn>
   void Access(uint32_t accessor, bool is_write, ItemId item, EmitFn emit) {
     if (item >= items_.size()) items_.resize(item + 1);
-    ItemBits& bits = items_[item];
+    ItemHistory& h = items_[item];
     uint64_t* row = emitted_.data() + static_cast<size_t>(accessor) * words_;
-    uint64_t fresh = CountNew(bits.writer_words, row, accessor);
-    if (fresh != 0) WalkOrder(bits.writer_order, row, accessor, fresh, emit);
+    uint64_t fresh = CountNew(h.writer_bits, row, accessor);
+    if (fresh != 0) WalkOrder(h.writers, row, accessor, fresh, emit);
     if (is_write) {
       // Recomputed after the writer walk: an accessor on both lists was
       // just marked there and must not emit twice.
-      fresh = CountNew(bits.reader_words, row, accessor);
-      if (fresh != 0) WalkOrder(bits.reader_order, row, accessor, fresh, emit);
+      fresh = CountNew(h.reader_bits, row, accessor);
+      if (fresh != 0) WalkOrder(h.readers, row, accessor, fresh, emit);
     }
-    RecordBit(is_write ? bits.writer_words : bits.reader_words,
-              is_write ? bits.writer_order : bits.reader_order, accessor);
+    h.Record(accessor, is_write);
   }
 
  private:
-  struct ItemBits {
-    std::vector<uint64_t> writer_words;  // membership, lazily grown
-    std::vector<uint64_t> reader_words;
-    std::vector<uint32_t> writer_order;  // distinct, first-access order
-    std::vector<uint32_t> reader_order;
-  };
-
   /// Popcount of candidate bits not yet emitted on `row` (the accessor's
   /// own bit masked out).
   static uint64_t CountNew(const std::vector<uint64_t>& cand,
@@ -410,18 +426,8 @@ class ConflictBitSweep {
     }
   }
 
-  static void RecordBit(std::vector<uint64_t>& words,
-                        std::vector<uint32_t>& order, uint32_t accessor) {
-    const size_t w = accessor >> 6;
-    if (w >= words.size()) words.resize(w + 1, 0);
-    const uint64_t bit = uint64_t{1} << (accessor & 63);
-    if ((words[w] & bit) != 0) return;
-    words[w] |= bit;
-    order.push_back(accessor);
-  }
-
   size_t words_;
-  std::vector<ItemBits> items_;
+  std::vector<ItemHistory> items_;
   std::vector<uint64_t> emitted_;  // txns × words_
 };
 

@@ -22,8 +22,8 @@ struct CsrReport {
   /// A conflict-graph cycle witness when not.
   std::optional<std::vector<TxnId>> cycle;
   /// The conflict edge whose insertion closed the first cycle, when the
-  /// graph records it (ConflictGraph::Build in either mode, AnalysisContext
-  /// graphs, incremental graphs).
+  /// graph records it (ConflictGraph::Build, AnalysisContext graphs,
+  /// incremental graphs).
   std::optional<std::pair<TxnId, TxnId>> cycle_edge;
   /// Schedule position of the operation that created the cycle-closing
   /// edge, when recorded. For a projected conflict graph this is mapped to

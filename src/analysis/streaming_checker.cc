@@ -15,13 +15,6 @@ uint64_t EdgeKey(uint32_t from, uint32_t to) {
   return (static_cast<uint64_t>(from) << 32) | to;
 }
 
-/// An edgeless incremental graph over slot ids 0..capacity-1.
-ConflictGraph SlotGraph(size_t capacity) {
-  std::vector<TxnId> nodes(capacity);
-  for (size_t i = 0; i < capacity; ++i) nodes[i] = static_cast<TxnId>(i);
-  return ConflictGraph(std::move(nodes), CycleMode::kIncremental);
-}
-
 }  // namespace
 
 bool StreamingReport::ok() const {
@@ -39,11 +32,8 @@ StreamingChecker::StreamingChecker(const Database& db, StreamingOptions options)
       plane.items = options_.planes[p - 1];
       NSE_CHECK(!plane.items.empty());
     }
-    plane.graph = SlotGraph(kInitialSlots);
-    plane.slots.resize(kInitialSlots);
-    for (size_t s = kInitialSlots; s > 0; --s) {
-      plane.free_slots.push_back(static_cast<uint32_t>(s - 1));
-    }
+    plane.graph = ConflictGraph({}, CycleMode::kIncremental);
+    AddSlots(plane, kInitialSlots);
   }
 }
 
@@ -177,7 +167,10 @@ void StreamingChecker::FeedAbort(TxnId txn) {
 uint32_t StreamingChecker::EnsureSlot(Plane& plane, TxnId txn) {
   auto it = plane.slot_of.find(txn);
   if (it != plane.slot_of.end()) return it->second;
-  if (plane.free_slots.empty()) GrowPlane(plane);
+  if (plane.free_slots.empty()) {
+    AddSlots(plane, plane.slots.size());  // doubles the capacity
+    ++stats_.rebuilds;
+  }
   const uint32_t slot = plane.free_slots.back();
   plane.free_slots.pop_back();
   plane.slots[slot] = SlotInfo{txn, /*committed=*/false};
@@ -187,31 +180,18 @@ uint32_t StreamingChecker::EnsureSlot(Plane& plane, TxnId txn) {
   return slot;
 }
 
-void StreamingChecker::GrowPlane(Plane& plane) {
+void StreamingChecker::AddSlots(Plane& plane, size_t count) {
   const size_t old_cap = plane.slots.size();
-  const size_t new_cap = old_cap * 2;
-  // Re-insert the live edges in creation order into a doubled graph: the
-  // Pearce–Kelly state is rebuilt by the same insertion sequence the live
-  // graph saw, so cycle state and recorded witnesses are preserved.
-  std::vector<std::pair<EdgeMeta, uint64_t>> edges;
-  edges.reserve(plane.edge_meta.size());
-  for (const auto& [key, meta] : plane.edge_meta) {
-    edges.push_back({meta, key});
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& a, const auto& b) { return a.first.seq < b.first.seq; });
-  ConflictGraph grown = SlotGraph(new_cap);
-  for (const auto& [meta, key] : edges) {
-    grown.AddEdgeByIndexAt(static_cast<uint32_t>(key >> 32),
-                           static_cast<uint32_t>(key & 0xffffffffu),
-                           meta.event);
-  }
-  plane.graph = std::move(grown);
+  const size_t new_cap = old_cap + count;
+  // Slot ids double as graph node ids; the graph grows in place, keeping
+  // its edges, maintained order and cycle state.
+  std::vector<TxnId> ids(count);
+  for (size_t i = 0; i < count; ++i) ids[i] = static_cast<TxnId>(old_cap + i);
+  plane.graph.AppendNodes(std::move(ids));
   plane.slots.resize(new_cap);
   for (size_t s = new_cap; s > old_cap; --s) {
     plane.free_slots.push_back(static_cast<uint32_t>(s - 1));
   }
-  ++stats_.rebuilds;
 }
 
 void StreamingChecker::RetireSlot(Plane& plane, uint32_t slot) {

@@ -9,9 +9,11 @@
 // The checker maintains one live conflict graph per plane (the full
 // schedule, plus one projected plane per StreamingOptions::planes entry,
 // PWSR-style) over the decremental incremental-cycle ConflictGraph.
-// Transactions occupy recycled node slots; aborted transactions have
-// their edges retracted (RemoveEdgesOf + access-index erase), exactly the
-// committed-projection semantics of the batch plane.
+// Transactions occupy recycled node slots; when every slot is taken the
+// plane doubles its slot capacity, and its graph grows in place
+// (ConflictGraph::AppendNodes) with no edge re-inserted. Aborted
+// transactions have their edges retracted (RemoveEdgesOf + access-index
+// erase), exactly the committed-projection semantics of the batch plane.
 //
 // Eviction (the window): a committed transaction can gain no further
 // in-edges — every in-edge u → v is created by an operation of v, and a
@@ -33,7 +35,7 @@
 // keeping it instead of another adds only out-edges from an unpinned
 // slot, which pin nothing. So every sweep retires min(excess, unpinned)
 // slots whatever the order, and the evictions, retention and
-// slot-capacity rebuilds follow. Retained memory is therefore bounded by
+// slot-capacity doublings follow. Retained memory is therefore bounded by
 // the active transactions plus the committed ones they transitively pin,
 // not by log length. Conversely a transaction pinned by an in-edge from a
 // live predecessor stays until the predecessor resolves — the
@@ -110,7 +112,7 @@ struct StreamingStats {
   uint64_t commits = 0;
   uint64_t aborts = 0;
   uint64_t evictions = 0;     ///< committed transactions swept out
-  uint64_t rebuilds = 0;      ///< slot-capacity graph rebuilds
+  uint64_t rebuilds = 0;      ///< slot-capacity doublings (in place)
   size_t peak_retained = 0;   ///< max transactions resident in any plane
   size_t retained = 0;        ///< resident at Finish
 };
@@ -219,7 +221,8 @@ class StreamingChecker {
   void FeedAbort(TxnId txn);
 
   uint32_t EnsureSlot(Plane& plane, TxnId txn);
-  void GrowPlane(Plane& plane);
+  /// Appends `count` free slots to the plane (its graph grows in place).
+  void AddSlots(Plane& plane, size_t count);
   void RetireSlot(Plane& plane, uint32_t slot);
   void EvictionSweep(Plane& plane);
   bool CommittedCycleThrough(const Plane& plane, uint32_t slot) const;

@@ -22,7 +22,7 @@ enum class StatusCode {
   kFailedPrecondition,///< Operation is valid but the object state is not.
   kOutOfRange,        ///< Index or position outside the valid range.
   kUnimplemented,     ///< Feature intentionally not supported.
-  kDeadlineExceeded,  ///< A wall-clock budget ran out before completion.
+  kDeadlineExceeded,  ///< A wall-clock or tick budget ran out first.
   kInternal,          ///< Invariant violation inside the library.
 };
 

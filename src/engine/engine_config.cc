@@ -52,18 +52,30 @@ uint64_t RestartBackoffDelay(const RestartPolicy& rp, TxnId txn, uint64_t n) {
     case RestartPolicy::Backoff::kFixed:
       delay = std::min(rp.base, rp.cap);
       break;
-    case RestartPolicy::Backoff::kLinear:
-      delay = std::min(rp.base + rp.step * n, rp.cap);
+    case RestartPolicy::Backoff::kLinear: {
+      // base + step * n, saturating at the cap instead of wrapping.
+      const uint64_t room = rp.cap - std::min(rp.base, rp.cap);
+      delay = rp.step != 0 && n > room / rp.step
+                  ? rp.cap
+                  : std::min(rp.base + rp.step * n, rp.cap);
       break;
+    }
     case RestartPolicy::Backoff::kExponential: {
-      delay = rp.base;
-      for (uint64_t i = 1; i < n && delay < rp.cap; ++i) delay <<= 1;
-      delay = std::min(delay, rp.cap);
+      // Doubling saturates at the cap: a shift past it would wrap to 0.
+      delay = std::min(rp.base, rp.cap);
+      for (uint64_t i = 1; i < n && delay < rp.cap; ++i) {
+        delay = delay > rp.cap / 2 ? rp.cap : delay << 1;
+      }
       break;
     }
   }
   if (rp.jitter > 0) {
-    delay += Rng(rp.jitter_seed).Split(txn).Split(n).NextBelow(rp.jitter + 1);
+    // Draw from [0, jitter]; jitter == UINT64_MAX is the whole range (its
+    // bound jitter + 1 would wrap to 0). The sum saturates.
+    Rng rng = Rng(rp.jitter_seed).Split(txn).Split(n);
+    const uint64_t draw =
+        rp.jitter == UINT64_MAX ? rng.Next() : rng.NextBelow(rp.jitter + 1);
+    delay = draw > UINT64_MAX - delay ? UINT64_MAX : delay + draw;
   }
   return delay;
 }

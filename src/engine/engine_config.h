@@ -106,7 +106,9 @@ struct EngineConfig {
 
 /// The restart delay for a transaction entering its n-th restart
 /// (n = restart count, >= 1). Pure function of (policy, txn, n) so replays
-/// are bit-identical. The cap applies to the shape; jitter rides on top.
+/// are bit-identical. The cap applies to the shape, whose arithmetic
+/// saturates at it; jitter rides on top, and the sum saturates at
+/// UINT64_MAX instead of wrapping.
 /// Shared by both drivers (ticks for the simulator; the engine multiplies
 /// by backoff_unit_micros).
 uint64_t RestartBackoffDelay(const RestartPolicy& rp, TxnId txn, uint64_t n);

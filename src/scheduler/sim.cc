@@ -353,7 +353,7 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
   }
 
   if (done_count != n) {
-    return Status::Internal(
+    return Status::DeadlineExceeded(
         StrCat("simulation exceeded max_ticks=", config.max_ticks));
   }
 

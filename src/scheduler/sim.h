@@ -51,9 +51,9 @@ struct SimResult : RunResult {
 };
 
 /// Runs `scripts` under `policy`. Transaction ids are 1-based script
-/// indices. Fails on an invalid `config` (EngineConfig::Validate), past
-/// `config.max_ticks`, or on a stall without a detectable deadlock (a
-/// policy bug). Engine-only knobs (threads, wait timeouts, latency) are
+/// indices. Fails on an invalid `config` (EngineConfig::Validate), with
+/// DeadlineExceeded past `config.max_ticks`, or with Internal on a stall
+/// without a detectable deadlock (a policy bug). Engine-only knobs (threads, wait timeouts, latency) are
 /// ignored. Crashed and shed transactions never commit — everything else
 /// must (the chaos harness's forward-progress contract).
 Result<SimResult> RunSimulation(SchedulerPolicy& policy,

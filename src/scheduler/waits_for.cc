@@ -4,26 +4,15 @@
 
 namespace nse {
 
-namespace {
-
-const std::optional<std::vector<TxnId>> kNoCycle;
-const std::optional<std::pair<TxnId, TxnId>> kNoEdge;
-
-}  // namespace
-
 void WaitsForTracker::EnsureTxns(size_t n) {
   if (n <= capacity_) return;
   size_t grown = std::max(n, capacity_ == 0 ? size_t{8} : capacity_ * 2);
-  std::vector<TxnId> nodes;
-  nodes.reserve(grown);
-  for (TxnId id = 1; id <= grown; ++id) nodes.push_back(id);
-  ConflictGraph fresh(std::move(nodes), CycleMode::kIncremental);
-  // Replay the current waits into the larger graph (rare: only when a new
-  // high txn id first appears).
-  for (TxnId from = 1; from <= capacity_; ++from) {
-    for (TxnId to : waits_[from]) fresh.AddEdge(from, to);
-  }
-  graph_ = std::move(fresh);
+  // The graph grows in place: the current waits, the maintained order and
+  // any recorded cycle carry over untouched.
+  std::vector<TxnId> ids;
+  ids.reserve(grown - capacity_);
+  for (TxnId id = capacity_ + 1; id <= grown; ++id) ids.push_back(id);
+  graph_.AppendNodes(std::move(ids));
   waits_.resize(grown + 1);
   capacity_ = grown;
 }
@@ -47,13 +36,13 @@ void WaitsForTracker::SetWaits(TxnId txn, const std::vector<TxnId>& blockers) {
   // the new waits — each insert is where a deadlock can close.
   for (TxnId old : prev) {
     if (!std::binary_search(next.begin(), next.end(), old)) {
-      graph_->RemoveEdge(txn, old);
+      graph_.RemoveEdge(txn, old);
       ++edges_removed_;
     }
   }
   for (TxnId blocker : next) {
     if (!std::binary_search(prev.begin(), prev.end(), blocker)) {
-      graph_->AddEdge(txn, blocker);
+      graph_.AddEdge(txn, blocker);
       ++edges_added_;
     }
   }
@@ -66,7 +55,7 @@ void WaitsForTracker::OnResolved(TxnId txn) {
   // Strip txn from its waiters' recorded blocker sets (exactly the graph's
   // predecessors of txn) so later diffs stay in sync with the graph —
   // O(degree), not O(capacity).
-  for (TxnId waiter : graph_->Predecessors(txn)) {
+  for (TxnId waiter : graph_.Predecessors(txn)) {
     std::vector<TxnId>& set = waits_[waiter];
     auto it = std::lower_bound(set.begin(), set.end(), txn);
     if (it != set.end() && *it == txn) {
@@ -74,22 +63,9 @@ void WaitsForTracker::OnResolved(TxnId txn) {
       ++dropped;
     }
   }
-  graph_->RemoveEdgesOf(txn);
+  graph_.RemoveEdgesOf(txn);
   waits_[txn].clear();
   edges_removed_ += dropped;
-}
-
-bool WaitsForTracker::has_cycle() const {
-  return graph_.has_value() && graph_->has_cycle();
-}
-
-const std::optional<std::vector<TxnId>>& WaitsForTracker::cycle() const {
-  return graph_.has_value() ? graph_->cycle() : kNoCycle;
-}
-
-const std::optional<std::pair<TxnId, TxnId>>& WaitsForTracker::cycle_edge()
-    const {
-  return graph_.has_value() ? graph_->cycle_edge() : kNoEdge;
 }
 
 }  // namespace nse

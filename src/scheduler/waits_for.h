@@ -20,8 +20,9 @@
 namespace nse {
 
 /// A persistent waits-for graph over txn ids (1-based), maintained by edge
-/// diffs. Node capacity grows on demand (the graph is rebuilt — replaying
-/// the current edges — when a new high txn id appears, which is rare).
+/// diffs. Node capacity grows on demand: when a new high txn id appears
+/// (rare), the graph grows in place (ConflictGraph::AppendNodes), keeping
+/// its edges and any recorded cycle.
 class WaitsForTracker {
  public:
   WaitsForTracker() = default;
@@ -43,13 +44,17 @@ class WaitsForTracker {
   void OnResolved(TxnId txn);
 
   /// True iff the current waits-for relation has a cycle. O(1).
-  bool has_cycle() const;
+  bool has_cycle() const { return graph_.has_cycle(); }
 
   /// The recorded deadlock cycle (txn ids, first == last), or nullopt.
-  const std::optional<std::vector<TxnId>>& cycle() const;
+  const std::optional<std::vector<TxnId>>& cycle() const {
+    return graph_.cycle();
+  }
 
   /// The wait edge that closed the recorded cycle, or nullopt.
-  const std::optional<std::pair<TxnId, TxnId>>& cycle_edge() const;
+  const std::optional<std::pair<TxnId, TxnId>>& cycle_edge() const {
+    return graph_.cycle_edge();
+  }
 
   /// Graph mutations actually performed — the work the diffing saves shows
   /// up as these counters staying flat across unchanged stall ticks.
@@ -57,10 +62,10 @@ class WaitsForTracker {
   uint64_t edges_removed() const { return edges_removed_; }
 
   /// The underlying incremental graph (read-only; for tests and benches).
-  const ConflictGraph& graph() const { return *graph_; }
+  const ConflictGraph& graph() const { return graph_; }
 
  private:
-  std::optional<ConflictGraph> graph_;
+  ConflictGraph graph_{{}, CycleMode::kIncremental};
   std::vector<std::vector<TxnId>> waits_;  // sorted blocker set per txn id
   size_t capacity_ = 0;                    // txn ids 1..capacity_ are nodes
   uint64_t edges_added_ = 0;

@@ -5,6 +5,7 @@
 // order must be a valid topological order at every acyclic step.
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "analysis/conflict_graph.h"
 #include "common/rng.h"
 #include "fuzz_env.h"
+#include "oracles/oracles.h"
 
 namespace nse {
 namespace {
@@ -90,7 +92,8 @@ TEST(ConflictGraphIncrementalTest, CycleOpPositionRecordedByBuild) {
   ops.push_back(Operation::Read(2, 1, Value(0)));
   ops.push_back(Operation::Write(1, 1, Value(1)));
   Schedule schedule{std::move(ops)};
-  ConflictGraph g = ConflictGraph::Build(schedule, CycleMode::kIncremental);
+  ConflictGraph g =
+      oracles::BuildReference(schedule, CycleMode::kIncremental);
   EXPECT_TRUE(g.has_cycle());
   ASSERT_TRUE(g.cycle_edge().has_value());
   EXPECT_EQ(*g.cycle_edge(), std::make_pair(TxnId{2}, TxnId{1}));
@@ -264,15 +267,19 @@ TEST(ConflictGraphIncrementalTest, RandomInsertRemoveStreamsStayConsistent) {
 // cycle). Three removal flavours are interleaved: RemoveEdge on an edge of
 // the recorded cycle witness (breaks it), RemoveEdge on an edge outside
 // the witness (cycle must survive), and RemoveEdgesOf on a cycle
-// participant (the deadlock-victim abort path). Every step is
-// cross-checked against a from-scratch batch-DFS rebuild.
+// participant (the deadlock-victim abort path). In-place node growth
+// (AppendNodes) is one more random step, in both phases: the new nodes
+// start edgeless and a recorded cycle must carry over unchanged. Every
+// step is cross-checked against a from-scratch batch-DFS rebuild.
 TEST(ConflictGraphDecrementalFuzz, RemovalsWhileCycleRecordedAgreeWithDfs) {
   const size_t seeds = FuzzSeedCount(10);
   size_t cyclic_removals = 0;  // removals issued while a cycle was live
   size_t victim_removals = 0;  // RemoveEdgesOf issued while cyclic
+  size_t cyclic_growths = 0;   // AppendNodes issued while cyclic
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     Rng rng(seed * 977 + 5);
-    const size_t n = 3 + rng.NextBelow(14);
+    size_t n = 3 + rng.NextBelow(14);
+    const size_t steps = 10 * n;
     ConflictGraph g(Nodes(n), CycleMode::kIncremental);
     std::vector<std::pair<TxnId, TxnId>> live;  // mirror of the edge set
 
@@ -282,8 +289,23 @@ TEST(ConflictGraphDecrementalFuzz, RemovalsWhileCycleRecordedAgreeWithDfs) {
       live.erase(it);
     };
 
-    for (size_t step = 0; step < 10 * n; ++step) {
-      if (g.has_cycle()) {
+    for (size_t step = 0; step < steps; ++step) {
+      if (rng.NextBool(0.08)) {
+        // Grow in place by 1-3 nodes.
+        const std::optional<std::vector<TxnId>> cycle = g.cycle();
+        const std::optional<std::pair<TxnId, TxnId>> edge = g.cycle_edge();
+        const size_t extra = 1 + rng.NextBelow(3);
+        std::vector<TxnId> ids;
+        for (size_t k = 1; k <= extra; ++k) {
+          ids.push_back(static_cast<TxnId>(n + k));
+        }
+        g.AppendNodes(std::move(ids));
+        n += extra;
+        ASSERT_EQ(g.nodes(), Nodes(n));
+        ASSERT_EQ(g.cycle(), cycle) << "seed " << seed << " step " << step;
+        ASSERT_EQ(g.cycle_edge(), edge);
+        if (cycle.has_value()) ++cyclic_growths;
+      } else if (g.has_cycle()) {
         // Removal under a recorded cycle: pick the flavour randomly. The
         // witness is copied — the removal below re-anchors the graph's
         // cycle state and would invalidate a reference.
@@ -356,9 +378,10 @@ TEST(ConflictGraphDecrementalFuzz, RemovalsWhileCycleRecordedAgreeWithDfs) {
       }
     }
   }
-  // The sweep must actually have exercised the re-anchor paths.
+  // The sweep must actually have exercised the re-anchor and growth paths.
   EXPECT_GT(cyclic_removals, 0u);
   EXPECT_GT(victim_removals, 0u);
+  EXPECT_GT(cyclic_growths, 0u);
 }
 
 TEST(ConflictGraphIncrementalTest, WitnessProbeReturnsThePathBehindTheVeto) {
@@ -510,7 +533,7 @@ TEST(ConflictGraphIncrementalTest, BuildMatchesBatchBuildOnSchedules) {
     Schedule schedule{std::move(ops)};
     ConflictGraph batch = ConflictGraph::Build(schedule);
     ConflictGraph incremental =
-        ConflictGraph::Build(schedule, CycleMode::kIncremental);
+        oracles::BuildReference(schedule, CycleMode::kIncremental);
     EXPECT_EQ(batch.Edges(), incremental.Edges());
     EXPECT_EQ(batch.IsAcyclic(), incremental.IsAcyclic());
     EXPECT_EQ(batch.TopologicalOrder(), incremental.TopologicalOrder());

@@ -251,12 +251,13 @@ TEST(ConflictGraphDenseSweepFuzz, DenseBuildMatchesReferenceOnRandomSchedules) {
       }
     }
     Schedule s(std::move(ops));
-    // The first-cycle record is the incremental build's in both modes: a
-    // batch Build replays its emission order up to the first cycle.
+    // The first-cycle record is the incremental build's: a batch Build
+    // replays its emission order up to the first cycle. The dense build is
+    // compared with the reference in both modes.
     const ConflictGraph first_cycle =
         oracles::BuildReference(s, CycleMode::kIncremental);
+    const ConflictGraph dense = ConflictGraph::Build(s);
     for (CycleMode mode : {CycleMode::kBatch, CycleMode::kIncremental}) {
-      ConflictGraph dense = ConflictGraph::Build(s, mode);
       ConflictGraph reference = oracles::BuildReference(s, mode);
       ASSERT_EQ(dense.nodes(), reference.nodes()) << "seed " << seed;
       ASSERT_EQ(dense.Edges(), reference.Edges()) << "seed " << seed;

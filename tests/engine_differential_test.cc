@@ -490,6 +490,57 @@ TEST(EngineConfigTest, DefaultConfigValidatesAndMatchesLegacyKnobs) {
   EXPECT_EQ(config.threads, 1u);
 }
 
+TEST(EngineConfigTest, ExponentialBackoffSaturatesAtTheCap) {
+  RestartPolicy rp;
+  rp.backoff = RestartPolicy::Backoff::kExponential;
+  rp.base = 1;
+  rp.cap = UINT64_MAX;
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 64), uint64_t{1} << 63);
+  // One more doubling would wrap (to 0 by n = 65); it saturates instead,
+  // so a chronic restarter never drops to zero backoff.
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 65), UINT64_MAX);
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 70), UINT64_MAX);
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, UINT64_MAX), UINT64_MAX);
+  rp.cap = 100;  // an ordinary cap is still hit exactly
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 7), 64u);
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 8), 100u);
+}
+
+TEST(EngineConfigTest, LinearBackoffSaturatesAtTheCap) {
+  RestartPolicy rp;
+  rp.backoff = RestartPolicy::Backoff::kLinear;
+  rp.base = 2;
+  rp.step = uint64_t{1} << 62;
+  rp.cap = UINT64_MAX;
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 3), 2 + 3 * (uint64_t{1} << 62));
+  // step * n wraps from n = 4 on; the delay stays at the cap.
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 4), UINT64_MAX);
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 1'000'000), UINT64_MAX);
+  rp.step = UINT64_MAX;
+  EXPECT_EQ(RestartBackoffDelay(rp, 1, 2), UINT64_MAX);
+  // The legacy default is unchanged: min(2 + 4n, 128).
+  EXPECT_EQ(RestartBackoffDelay(RestartPolicy{}, 1, 3), 14u);
+  EXPECT_EQ(RestartBackoffDelay(RestartPolicy{}, 1, 40), 128u);
+}
+
+TEST(EngineConfigTest, FullRangeJitterIsTotal) {
+  EngineConfig config;
+  config.restart.jitter = UINT64_MAX;  // the bound jitter + 1 wraps to 0
+  ASSERT_TRUE(config.Validate().ok());
+  const RestartPolicy& rp = config.restart;
+  for (uint64_t n = 1; n <= 16; ++n) {
+    const uint64_t delay = RestartBackoffDelay(rp, 3, n);
+    // The draw rides on the linear shape and saturates instead of wrapping.
+    EXPECT_GE(delay, std::min<uint64_t>(2 + 4 * n, 128)) << "n " << n;
+    EXPECT_EQ(delay, RestartBackoffDelay(rp, 3, n)) << "pure function";
+  }
+  RestartPolicy big = rp;
+  big.backoff = RestartPolicy::Backoff::kFixed;
+  big.base = UINT64_MAX;
+  big.cap = UINT64_MAX;
+  EXPECT_EQ(RestartBackoffDelay(big, 3, 1), UINT64_MAX);
+}
+
 TEST(EngineShardedStoreTest, ReadsBackWritesAndRejectsOutOfRange) {
   ShardedValueStore store(4);
   for (ItemId item = 0; item < 4; ++item) {

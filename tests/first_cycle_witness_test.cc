@@ -20,6 +20,7 @@
 #include "analysis/serializability.h"
 #include "common/rng.h"
 #include "fuzz_env.h"
+#include "oracles/oracles.h"
 #include "scheduler/pw_two_phase_locking.h"
 #include "scheduler/sim.h"
 #include "scheduler/workload.h"
@@ -87,8 +88,8 @@ TEST(FirstCycleWitnessGolden, CertifyShapeFullGraphClosesLate) {
   ExpectWitness(ctx.csr_report(), golden, "context");
   ExpectWitness(CheckConflictSerializability(s), golden, "free function");
   ExpectGraphWitness(ConflictGraph::Build(s), golden, "batch build");
-  ExpectGraphWitness(ConflictGraph::Build(s, CycleMode::kIncremental), golden,
-                     "incremental build");
+  ExpectGraphWitness(oracles::BuildReference(s, CycleMode::kIncremental),
+                     golden, "incremental build");
 
   size_t projection_edges = 0;
   for (size_t e = 0; e < workload.ic->num_conjuncts(); ++e) {
@@ -150,8 +151,8 @@ TEST(FirstCycleWitnessGolden, UnscheduledInterleavingConjuncts) {
 
 // Replay-order fuzz: for random schedules, a batch graph's emission log
 // replayed from random initial orders (and from the identity order and the
-// log's SeedOrder) must report the first cycle an identity-order incremental build
-// reports, and so must Build's own batch path.
+// log's SeedOrder) must report the first cycle the identity-order
+// incremental reference build reports, and so must Build's own batch path.
 TEST(FirstCycleReplayFuzz, SeededReplayMatchesIdentityOrderBuild) {
   const size_t seeds = FuzzSeedCount(12);
   size_t cyclic = 0;
@@ -174,7 +175,7 @@ TEST(FirstCycleReplayFuzz, SeededReplayMatchesIdentityOrderBuild) {
     Schedule s(std::move(ops));
     const std::string where = "seed " + std::to_string(seed);
     const ConflictGraph incremental =
-        ConflictGraph::Build(s, CycleMode::kIncremental);
+        oracles::BuildReference(s, CycleMode::kIncremental);
     const ConflictGraph built = ConflictGraph::Build(s);
     ASSERT_EQ(built.IsAcyclic(), incremental.IsAcyclic()) << where;
     ASSERT_EQ(built.cycle(), incremental.cycle()) << where;

@@ -111,7 +111,9 @@ TEST(SimTest, MaxTicksGuard) {
   auto result = RunSimulation(
       policy, {Script({R(0), R(1), R(2)}), Script({R(3), R(4), R(5)})},
       config);
-  EXPECT_FALSE(result.ok());
+  ASSERT_FALSE(result.ok());
+  // A spent tick budget is typed like the engine's wall-clock budget.
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(SimTest, MetricsAreInternallyConsistent) {

@@ -289,7 +289,8 @@ TEST(StreamingCheckerTest, FeedRejectsProtocolViolations) {
 }
 
 TEST(StreamingCheckerTest, SlotCapacityGrowsPastInitialSize) {
-  // More than 64 concurrently live transactions force a graph rebuild.
+  // More than 64 concurrently live transactions force a slot-capacity
+  // doubling (the graph grows in place).
   History h;
   {
     Database db;
@@ -309,6 +310,50 @@ TEST(StreamingCheckerTest, SlotCapacityGrowsPastInitialSize) {
   EXPECT_TRUE(report.full.ok);  // writes in txn order: a chain, no cycle
   EXPECT_GE(report.stats.rebuilds, 1u);
   EXPECT_GE(report.stats.peak_retained, 100u);
+}
+
+TEST(StreamingCheckerTest, SlotGrowthKeepsACycleAmongActiveTransactions) {
+  // T1 and T2 close a lost-update cycle on x while both are still active;
+  // 70 more live transactions then push the plane past its 64 initial
+  // slots. The graph grows in place with the cycle recorded, so the
+  // eviction sweeps stay off and the verdict and witness still equal the
+  // batch plane's — whether T2 commits (violation) or aborts (the cycle
+  // dissolves after the growth).
+  for (bool abort_t2 : {false, true}) {
+    History h;
+    {
+      Database db;
+      ASSERT_TRUE(db.AddIntItems({"x", "y"}, -8, 8).ok());
+      h.db = std::move(db);
+    }
+    h.events = {HistoryEvent::Begin(1),
+                HistoryEvent::Begin(2),
+                HistoryEvent::Read(1, 0, Value(int64_t{0})),
+                HistoryEvent::Read(2, 0, Value(int64_t{0})),
+                HistoryEvent::Write(1, 0, Value(int64_t{1})),
+                HistoryEvent::Write(2, 0, Value(int64_t{2}))};
+    const TxnId kLast = 72;
+    for (TxnId t = 3; t <= kLast; ++t) {
+      h.events.push_back(HistoryEvent::Begin(t));
+      h.events.push_back(HistoryEvent::Write(t, 1, Value(int64_t{1})));
+    }
+    for (TxnId t = 3; t <= kLast; ++t) {
+      h.events.push_back(HistoryEvent::Commit(t));
+    }
+    h.events.push_back(HistoryEvent::Commit(1));
+    h.events.push_back(abort_t2 ? HistoryEvent::Abort(2)
+                                : HistoryEvent::Commit(2));
+    ASSERT_TRUE(ValidateHistory(h).ok());
+    StreamingReport report = CheckAgainstBatch(h);
+    EXPECT_EQ(report.full.ok, abort_t2);
+    EXPECT_EQ(report.stats.rebuilds, 1u);
+    EXPECT_EQ(report.stats.peak_retained, size_t{kLast});
+    if (!abort_t2) {
+      ASSERT_TRUE(report.full.violation.has_value());
+      EXPECT_EQ(report.full.violation->edge, std::make_pair(TxnId{1}, TxnId{2}));
+      EXPECT_EQ(report.full.violation->event, 5u);
+    }
+  }
 }
 
 }  // namespace

@@ -71,13 +71,32 @@ TEST(WaitsForTest, SelfAndDuplicateBlockersAreDropped) {
 TEST(WaitsForTest, GrowsNodeCapacityOnDemand) {
   WaitsForTracker tracker;
   tracker.SetWaits(1, {2});
-  // Txn 100 appears later: the graph is rebuilt with the larger node set,
-  // replaying the existing edges.
+  // Txn 100 appears later: the graph grows in place to the larger node
+  // set, keeping the existing edges.
   tracker.SetWaits(100, {1});
   EXPECT_TRUE(tracker.graph().HasEdge(1, 2));
   EXPECT_TRUE(tracker.graph().HasEdge(100, 1));
   tracker.SetWaits(2, {100});
   ASSERT_TRUE(tracker.has_cycle());  // 1 -> 2 -> 100 -> 1
+  const std::vector<TxnId> cycle = *tracker.cycle();
+  const std::pair<TxnId, TxnId> edge = *tracker.cycle_edge();
+  EXPECT_EQ(edge, std::make_pair(TxnId{2}, TxnId{100}));
+
+  // Growing while the deadlock is recorded keeps its witness and closing
+  // edge; the newcomer's wait lands on the grown graph.
+  const uint64_t added = tracker.edges_added();
+  tracker.SetWaits(1000, {3});
+  EXPECT_GE(tracker.graph().nodes().size(), 1000u);
+  ASSERT_TRUE(tracker.has_cycle());
+  EXPECT_EQ(*tracker.cycle(), cycle);
+  EXPECT_EQ(*tracker.cycle_edge(), edge);
+  EXPECT_TRUE(tracker.graph().HasEdge(1000, 3));
+  EXPECT_EQ(tracker.edges_added(), added + 1);
+
+  // Resolving a cycle member still clears the recorded deadlock.
+  tracker.OnResolved(100);
+  EXPECT_FALSE(tracker.has_cycle());
+  EXPECT_TRUE(tracker.graph().HasEdge(1, 2));
 }
 
 TEST(WaitsForTest, RandomStallStreamsMatchBatchRebuild) {
