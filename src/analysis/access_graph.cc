@@ -1,28 +1,57 @@
 #include "analysis/access_graph.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/string_util.h"
 
 namespace nse {
 
+namespace {
+
+/// Calls visit(b) for every set bit b of the `words`-word bitset, ascending.
+template <typename VisitFn>
+void ForEachBit(const uint64_t* bits, size_t words, VisitFn visit) {
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      visit(w * 64 + static_cast<size_t>(__builtin_ctzll(word)));
+    }
+  }
+}
+
+}  // namespace
+
 DataAccessGraph DataAccessGraph::Build(const Schedule& schedule,
                                        const IntegrityConstraint& ic) {
   DataAccessGraph graph;
-  size_t l = ic.num_conjuncts();
+  const size_t l = ic.num_conjuncts();
   graph.adj_.assign(l, std::vector<bool>(l, false));
-  for (const Transaction& txn : schedule.Transactions()) {
-    DataSet reads = txn.ReadSet();
-    DataSet writes = txn.WriteSet();
-    for (size_t i = 0; i < l; ++i) {
-      if (DataSet::Disjoint(reads, ic.data_set(i))) continue;
-      for (size_t j = 0; j < l; ++j) {
-        if (i == j) continue;
-        if (!DataSet::Disjoint(writes, ic.data_set(j))) {
-          graph.adj_[i][j] = true;
-        }
-      }
+  const std::vector<TxnId>& txn_ids = schedule.txn_ids();
+  // Per transaction, two conjunct bitsets of `words` words each: the
+  // conjuncts it reads in, then the conjuncts it writes in.
+  const size_t words = (l + 63) / 64;
+  std::vector<uint64_t> touched(txn_ids.size() * 2 * words, 0);
+  for (const Operation& op : schedule.ops()) {
+    const std::vector<IntegrityConstraint::ConjunctSlot>& slots =
+        ic.SlotsOf(op.entity);
+    if (slots.empty()) continue;
+    const size_t idx = static_cast<size_t>(
+        std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
+        txn_ids.begin());
+    uint64_t* set =
+        touched.data() + (2 * idx + (op.is_write() ? 1 : 0)) * words;
+    for (const IntegrityConstraint::ConjunctSlot& at : slots) {
+      set[at.conjunct >> 6] |= uint64_t{1} << (at.conjunct & 63);
     }
+  }
+  for (size_t idx = 0; idx < txn_ids.size(); ++idx) {
+    const uint64_t* reads = touched.data() + 2 * idx * words;
+    const uint64_t* writes = reads + words;
+    ForEachBit(reads, words, [&](size_t i) {
+      ForEachBit(writes, words, [&](size_t j) {
+        if (i != j) graph.adj_[i][j] = true;
+      });
+    });
   }
   return graph;
 }

@@ -2,6 +2,14 @@
 // edge (C_i, C_j), i ≠ j, when some transaction of S reads a data item in
 // d_i and writes a data item in d_j. Theorem 3: a PWSR schedule with an
 // acyclic data access graph is strongly correct.
+//
+// Build walks the schedule once: each operation is routed through the IC's
+// item → conjuncts table (IntegrityConstraint::SlotsOf) into its
+// transaction's read-conjunct or write-conjunct bitset, and each
+// transaction then adds i → j for every read conjunct i and write conjunct
+// j ≠ i. No transaction or DataSet is materialized; the per-transaction
+// DataSet build lives in tests/oracles (oracles::DataAccessGraphReference)
+// as the cross-checked reference.
 
 #ifndef NSE_ANALYSIS_ACCESS_GRAPH_H_
 #define NSE_ANALYSIS_ACCESS_GRAPH_H_
@@ -18,7 +26,8 @@ namespace nse {
 /// The data access graph over conjunct indices 0..l-1.
 class DataAccessGraph {
  public:
-  /// Builds DAG(S, IC).
+  /// Builds DAG(S, IC) in one walk of the schedule: O(ops × conjuncts per
+  /// item + txns × read conjuncts × write conjuncts).
   static DataAccessGraph Build(const Schedule& schedule,
                                const IntegrityConstraint& ic);
 

@@ -12,12 +12,13 @@ namespace {
 /// The conflict graph of every conjunct projection S^{d_e}, in one walk
 /// over S. Conflicts are same-item, so the graph of S^{d_e} is the sweep of
 /// S restricted to the items of d_e: each access feeds one ConflictBitSweep
-/// per conjunct holding its item, in that conjunct's local txn indices, and
-/// every emitted edge goes straight into the batch graph and its emission
-/// log at its full-schedule position. No projected schedule is
-/// materialized, and an item shared by overlapping conjuncts feeds each of
-/// them. A Kahn pass then decides each graph; only a cyclic one replays
-/// its log to record the first cycle (ConflictGraph::ReplayFirstCycle).
+/// per conjunct holding its item (IntegrityConstraint::SlotsOf), in that
+/// conjunct's local txn indices, and every emitted edge goes into that
+/// conjunct's emission log at its full-schedule position. No projected
+/// schedule is materialized, and an item shared by overlapping conjuncts
+/// feeds each of them. Each graph is then filled from its log
+/// (ConflictGraph::FromLog); only a cyclic one replays the log to record
+/// its first cycle.
 std::vector<ConflictGraph> BuildConjunctGraphs(const Schedule& schedule,
                                                const IntegrityConstraint& ic) {
   const size_t num_conjuncts = ic.num_conjuncts();
@@ -29,21 +30,6 @@ std::vector<ConflictGraph> BuildConjunctGraphs(const Schedule& schedule,
         txn_ids.begin());
   };
 
-  // Item → every conjunct holding it, with the item's slot in that
-  // conjunct's data set (its item id in the conjunct's sweep).
-  struct Feed {
-    size_t conjunct;
-    ItemId slot;
-  };
-  std::vector<std::vector<Feed>> feeds;
-  for (size_t e = 0; e < num_conjuncts; ++e) {
-    const std::vector<ItemId>& items = ic.data_set(e).items();
-    for (ItemId slot = 0; slot < items.size(); ++slot) {
-      if (items[slot] >= feeds.size()) feeds.resize(items[slot] + 1);
-      feeds[items[slot]].push_back({e, slot});
-    }
-  }
-
   // Pre-pass: the nodes of S^{d_e} are the txns with an operation on d_e,
   // numbered in ascending id order; local[e * n + idx] maps txn index idx
   // to that number.
@@ -51,51 +37,49 @@ std::vector<ConflictGraph> BuildConjunctGraphs(const Schedule& schedule,
   constexpr uint32_t kAbsent = UINT32_MAX;
   std::vector<uint32_t> local(num_conjuncts * n, kAbsent);
   for (const Operation& op : ops) {
-    if (op.entity >= feeds.size()) continue;
+    const std::vector<IntegrityConstraint::ConjunctSlot>& slots =
+        ic.SlotsOf(op.entity);
+    if (slots.empty()) continue;
     const uint32_t idx = index_of(op.txn);
-    for (const Feed& feed : feeds[op.entity]) {
-      local[feed.conjunct * n + idx] = 0;
+    for (const IntegrityConstraint::ConjunctSlot& at : slots) {
+      local[at.conjunct * n + idx] = 0;
     }
   }
-  std::vector<ConflictGraph> graphs;
+  std::vector<std::vector<TxnId>> nodes(num_conjuncts);
   std::vector<internal::ConflictBitSweep> sweeps;
   std::vector<internal::EmissionLog> logs(num_conjuncts);
-  graphs.reserve(num_conjuncts);
   sweeps.reserve(num_conjuncts);
   for (size_t e = 0; e < num_conjuncts; ++e) {
-    std::vector<TxnId> nodes;
     for (size_t idx = 0; idx < n; ++idx) {
       uint32_t& local_idx = local[e * n + idx];
       if (local_idx == kAbsent) continue;
-      local_idx = static_cast<uint32_t>(nodes.size());
-      nodes.push_back(txn_ids[idx]);
+      local_idx = static_cast<uint32_t>(nodes[e].size());
+      nodes[e].push_back(txn_ids[idx]);
     }
-    sweeps.emplace_back(static_cast<uint32_t>(nodes.size()));
-    graphs.emplace_back(std::move(nodes));
+    sweeps.emplace_back(static_cast<uint32_t>(nodes[e].size()));
   }
 
   for (size_t pos = 0; pos < ops.size(); ++pos) {
     const Operation& op = ops[pos];
-    if (op.entity >= feeds.size()) continue;
+    const std::vector<IntegrityConstraint::ConjunctSlot>& slots =
+        ic.SlotsOf(op.entity);
+    if (slots.empty()) continue;
     const uint32_t idx = index_of(op.txn);
-    for (const Feed& feed : feeds[op.entity]) {
-      const uint32_t to = local[feed.conjunct * n + idx];
-      ConflictGraph& graph = graphs[feed.conjunct];
-      internal::EmissionLog& log = logs[feed.conjunct];
-      sweeps[feed.conjunct].Access(
-          to, op.is_write(), feed.slot,
-          [&graph, &log, to, pos](uint32_t from) {
-            graph.AddEdgeByIndexAt(from, to, pos);
-            log.Append(from, to, pos);
-          });
+    for (const IntegrityConstraint::ConjunctSlot& at : slots) {
+      const uint32_t to = local[at.conjunct * n + idx];
+      internal::EmissionLog& log = logs[at.conjunct];
+      sweeps[at.conjunct].Access(
+          to, op.is_write(), at.slot,
+          [&log, to, pos](uint32_t from) { log.Append(from, to, pos); });
     }
   }
-  sweeps.clear();  // frees the emitted bitsets before the Kahn passes
+  sweeps.clear();  // frees the emitted bitsets before the adjacency fills
 
+  std::vector<ConflictGraph> graphs;
+  graphs.reserve(num_conjuncts);
   for (size_t e = 0; e < num_conjuncts; ++e) {
-    if (graphs[e].IsAcyclic()) continue;
-    graphs[e].ReplayFirstCycle(logs[e],
-                               logs[e].SeedOrder(graphs[e].nodes().size()));
+    graphs.push_back(ConflictGraph::FromLog(std::move(nodes[e]), logs[e]));
+    logs[e] = internal::EmissionLog();
   }
   return graphs;
 }

@@ -144,16 +144,15 @@ std::vector<uint32_t> EmissionLog::SeedOrder(size_t num_nodes) const {
 }  // namespace internal
 
 ConflictGraph ConflictGraph::Build(const Schedule& schedule) {
-  // Dense bitset sweep: first-occurrence conflict pairs only, so the graph
-  // sees no duplicate inserts at all and hot items cost word scans instead
-  // of history walks. Emission order equals the reference sweep's
-  // successful-insert order (see ConflictBitSweep), so the result is
-  // bit-identical to the reference build.
-  ConflictGraph graph(schedule.txn_ids());
+  // Dense bitset sweep: first-occurrence conflict pairs only, so the log
+  // holds each edge once and hot items cost word scans instead of history
+  // walks. Emission order equals the reference sweep's successful-insert
+  // order (see ConflictBitSweep), so the result is bit-identical to the
+  // reference build.
   const std::vector<TxnId>& txn_ids = schedule.txn_ids();
   internal::EmissionLog log;
   const OpSequence& ops = schedule.ops();
-  {  // the sweep's bitsets are freed before the Kahn pass and the replay
+  {  // the sweep's bitsets are freed before the adjacency is filled
     internal::ConflictBitSweep sweep(static_cast<uint32_t>(txn_ids.size()));
     for (size_t i = 0; i < ops.size(); ++i) {
       const Operation& op = ops[i];
@@ -161,16 +160,72 @@ ConflictGraph ConflictGraph::Build(const Schedule& schedule) {
           std::lower_bound(txn_ids.begin(), txn_ids.end(), op.txn) -
           txn_ids.begin());
       sweep.Access(idx, op.is_write(), op.entity,
-                   [&graph, &log, idx, i](uint32_t from) {
-                     graph.AddEdgeByIndexAt(from, idx, i);
-                     log.Append(from, idx, i);
-                   });
+                   [&log, idx, i](uint32_t from) { log.Append(from, idx, i); });
     }
   }
+  return FromLog(txn_ids, log);
+}
+
+ConflictGraph ConflictGraph::FromLog(std::vector<TxnId> nodes,
+                                     const internal::EmissionLog& log) {
+  ConflictGraph graph(std::move(nodes));
+  graph.FillFromLog(log);
   if (!graph.IsAcyclic()) {
-    graph.ReplayFirstCycle(log, log.SeedOrder(txn_ids.size()));
+    graph.ReplayFirstCycle(log, log.SeedOrder(graph.nodes_.size()));
   }
   return graph;
+}
+
+void ConflictGraph::FillFromLog(const internal::EmissionLog& log) {
+  NSE_CHECK_MSG(mode_ == CycleMode::kBatch && num_edges_ == 0,
+                "FillFromLog requires an edgeless batch graph");
+  const size_t n = nodes_.size();
+  const std::vector<internal::EmissionLog::Access>& accesses = log.accesses_;
+  const std::vector<uint32_t>& froms = log.froms_;
+  auto end_of = [&](size_t a) {
+    return a + 1 < accesses.size() ? accesses[a + 1].begin : froms.size();
+  };
+  // Degrees first, so that every list is reserved once at its exact size.
+  std::vector<uint32_t> outdegree(n, 0);
+  for (size_t a = 0; a < accesses.size(); ++a) {
+    const uint32_t to = accesses[a].to;
+    NSE_CHECK_MSG(to < n, "logged edge target %u out of range %zu", to, n);
+    indegree_[to] += static_cast<uint32_t>(end_of(a) - accesses[a].begin);
+    for (size_t k = accesses[a].begin; k < end_of(a); ++k) {
+      NSE_CHECK_MSG(froms[k] < n, "logged edge source %u out of range %zu",
+                    froms[k], n);
+      ++outdegree[froms[k]];
+    }
+  }
+  // Counting sort keyed by target: bucket[cursor[t] ...] collects t's
+  // sources. Scattering advances cursor[t] to the end of t's bucket.
+  std::vector<uint32_t> cursor(n, 0);
+  for (size_t t = 1; t < n; ++t) cursor[t] = cursor[t - 1] + indegree_[t - 1];
+  std::vector<uint32_t> bucket(froms.size());
+  for (size_t a = 0; a < accesses.size(); ++a) {
+    uint32_t& next = cursor[accesses[a].to];
+    for (size_t k = accesses[a].begin; k < end_of(a); ++k) {
+      bucket[next++] = froms[k];
+    }
+  }
+  // Targets in ascending order append to their sources' lists, so every
+  // list comes out sorted.
+  for (size_t u = 0; u < n; ++u) out_[u].reserve(outdegree[u]);
+  size_t k = 0;
+  for (uint32_t to = 0; to < n; ++to) {
+    for (; k < cursor[to]; ++k) out_[bucket[k]].push_back(to);
+  }
+  num_edges_ = froms.size();
+  topo_valid_ = false;
+  // The sweep's emitted bitset logs each pair once; a repeat would show as
+  // an adjacent duplicate in a sorted list.
+  NSE_DCHECK_MSG(std::all_of(out_.begin(), out_.end(),
+                             [](const std::vector<uint32_t>& list) {
+                               return std::adjacent_find(list.begin(),
+                                                         list.end()) ==
+                                      list.end();
+                             }),
+                 "emission log holds a duplicate edge");
 }
 
 void ConflictGraph::ReplayFirstCycle(

@@ -11,14 +11,17 @@
 // the same graph are free.
 //
 // Build is batch-only, and so are AnalysisContext's conjunct graphs: one
-// sweep per item history (ConflictBitSweep) emits the edges, one Kahn pass
-// decides acyclicity, and only a cyclic graph pays for its witness — the
-// emission order, logged during the sweep, is replayed into an incremental
-// graph up to the first cycle (ReplayFirstCycle). So a batch-built graph
-// reports the same first cycle, closing edge and operation position as an
-// incremental build, without maintaining an online order on every insert.
-// The incremental build of a whole schedule lives in tests/oracles
-// (oracles::BuildReference) as the cross-checked reference.
+// sweep per item history (ConflictBitSweep) emits each edge once into an
+// EmissionLog, and FromLog fills the adjacency from the log with one
+// counting sort keyed by target (each list comes out sorted and sized
+// exactly, with no per-edge sorted insert). One Kahn pass decides
+// acyclicity, and only a cyclic graph pays for its witness — the log is
+// replayed into an incremental graph up to the first cycle
+// (ReplayFirstCycle). So a batch-built graph reports the same first cycle,
+// closing edge and operation position as an incremental build, without
+// maintaining an online order on every insert. The incremental build of a
+// whole schedule lives in tests/oracles (oracles::BuildReference) as the
+// cross-checked reference.
 //
 // CycleMode::kIncremental maintains an *online* topological order updated
 // in place on every insertion with the Pearce–Kelly algorithm: an edge
@@ -99,15 +102,26 @@ class ConflictGraph {
   explicit ConflictGraph(std::vector<TxnId> nodes,
                          CycleMode mode = CycleMode::kBatch);
 
-  /// Builds the kBatch graph of `schedule`. The first cycle-closing edge,
-  /// its witness and the schedule position of the operation that created
-  /// it (cycle_op_pos) are recorded by one Kahn pass plus, only when the
-  /// graph is cyclic, ReplayFirstCycle over the sweep's emission order.
+  /// Builds the kBatch graph of `schedule`: the sweep logs its edges and
+  /// FromLog does the rest. The first cycle-closing edge, its witness and
+  /// the schedule position of the operation that created it (cycle_op_pos)
+  /// are recorded by one Kahn pass plus, only when the graph is cyclic,
+  /// ReplayFirstCycle over the sweep's emission order.
   /// Uses the dense bitset sweep (ConflictBitSweep); bit-identical by
   /// construction to the vector-scan reference builder in tests/oracles
   /// (whose kIncremental build records the same witness), and pinned so by
   /// the fuzz differential.
   static ConflictGraph Build(const Schedule& schedule);
+
+  /// The kBatch graph over `nodes` (sorted, distinct) whose edges are
+  /// exactly the ones `log` holds, in node indices. Each pair must be
+  /// logged once — a sweep's emitted bitset guarantees it. The adjacency is
+  /// filled by one counting sort keyed by target; a Kahn pass decides
+  /// acyclicity, and a cyclic graph replays `log` (ReplayFirstCycle, seeded
+  /// with log.SeedOrder) to record its first cycle. Build and
+  /// AnalysisContext's conjunct graphs end here.
+  static ConflictGraph FromLog(std::vector<TxnId> nodes,
+                               const internal::EmissionLog& log);
 
   /// Recovers the first cycle of a cyclic batch graph. Replays `log` —
   /// the order in which this graph's edges were emitted, with the position
@@ -145,8 +159,8 @@ class ConflictGraph {
   /// the schedule position of the operation that created the edge: if this
   /// insertion closes the first cycle, the position is reported as
   /// cycle_op_pos() (incremental mode; AddEdge records none). For producers
-  /// that already work in node indices (the graph builders, the streaming
-  /// checker).
+  /// that already work in node indices: the first-cycle replay, the
+  /// streaming checker and hand-assembled graphs.
   bool AddEdgeByIndexAt(uint32_t from, uint32_t to,
                         std::optional<size_t> op_pos);
 
@@ -249,6 +263,12 @@ class ConflictGraph {
 
  private:
   size_t IndexOf(TxnId txn) const;
+  /// Fills out_, indegree_ and num_edges_ of this edgeless batch graph from
+  /// `log`: out-degrees size each list, a counting sort buckets the sources
+  /// by target (a temporary 4 B per edge), and the targets, walked in
+  /// ascending order, append to their sources' lists, so every list comes
+  /// out sorted.
+  void FillFromLog(const internal::EmissionLog& log);
   /// Debug-only retraction audit: true iff no other node's adjacency (in
   /// either direction) still references `idx`. O(V log deg); only called
   /// from NSE_DCHECK in RemoveEdgesOf.
@@ -431,11 +451,13 @@ class ConflictBitSweep {
   std::vector<uint64_t> emitted_;  // txns × words_
 };
 
-/// The emission order of one batch build, kept so that a cyclic graph's
-/// first cycle can be replayed (ConflictGraph::ReplayFirstCycle) without
-/// an online order maintained during the build: the `from` node index of
-/// every emitted edge, plus one (to, op_pos) header per access that emitted
-/// edges — about 4 B per edge. Builders drop it once acyclicity is decided.
+/// The edges of one batch build in emission order: the `from` node index
+/// of every emitted edge, plus one (to, op_pos) header per access that
+/// emitted edges — about 4 B per edge. The sweep writes only here;
+/// ConflictGraph::FromLog fills the adjacency from it, and a cyclic graph
+/// replays it to its first cycle (ConflictGraph::ReplayFirstCycle) without
+/// an online order maintained during the build. Builders drop it once
+/// acyclicity is decided.
 class EmissionLog {
  public:
   /// Logs the edge from → to, created by the operation at `op_pos`. Edges

@@ -51,6 +51,13 @@ Result<IntegrityConstraint> IntegrityConstraint::FromConjuncts(
   DataSet all;
   for (const DataSet& d : ic.data_sets_) all = DataSet::Union(all, d);
   ic.constrained_items_ = std::move(all);
+  for (size_t e = 0; e < ic.data_sets_.size(); ++e) {
+    const std::vector<ItemId>& items = ic.data_sets_[e].items();
+    for (ItemId slot = 0; slot < items.size(); ++slot) {
+      if (items[slot] >= ic.slots_.size()) ic.slots_.resize(items[slot] + 1);
+      ic.slots_[items[slot]].push_back({e, slot});
+    }
+  }
   return ic;
 }
 
@@ -69,10 +76,15 @@ Result<IntegrityConstraint> IntegrityConstraint::Parse(
 }
 
 std::optional<size_t> IntegrityConstraint::ConjunctOf(ItemId item) const {
-  for (size_t e = 0; e < data_sets_.size(); ++e) {
-    if (data_sets_[e].Contains(item)) return e;
-  }
-  return std::nullopt;
+  const std::vector<ConjunctSlot>& slots = SlotsOf(item);
+  if (slots.empty()) return std::nullopt;
+  return slots.front().conjunct;
+}
+
+const std::vector<IntegrityConstraint::ConjunctSlot>&
+IntegrityConstraint::SlotsOf(ItemId item) const {
+  static const std::vector<ConjunctSlot> kUnconstrained;
+  return item < slots_.size() ? slots_[item] : kUnconstrained;
 }
 
 Formula IntegrityConstraint::AsFormula() const { return And(conjuncts_); }

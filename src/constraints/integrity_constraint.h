@@ -63,6 +63,20 @@ class IntegrityConstraint {
   /// item is unconstrained. With overlapping conjuncts, the lowest index.
   std::optional<size_t> ConjunctOf(ItemId item) const;
 
+  /// One conjunct whose data set holds an item, and the item's index in
+  /// that data set (data_set(conjunct).items()[slot] is the item).
+  struct ConjunctSlot {
+    size_t conjunct;
+    ItemId slot;
+  };
+
+  /// Every conjunct whose data set holds `item`, ascending by conjunct
+  /// (more than one only for overlapping conjuncts); empty for an
+  /// unconstrained item. O(1): the item → conjuncts table is built once,
+  /// at construction, for the analyses that walk a schedule and route each
+  /// access to its conjuncts (the conjunct conflict graphs, DAG(S, IC)).
+  const std::vector<ConjunctSlot>& SlotsOf(ItemId item) const;
+
   /// True iff the conjunct data sets are pairwise disjoint.
   bool disjoint() const { return disjoint_; }
 
@@ -78,6 +92,7 @@ class IntegrityConstraint {
   std::vector<Formula> conjuncts_;
   std::vector<DataSet> data_sets_;
   DataSet constrained_items_;
+  std::vector<std::vector<ConjunctSlot>> slots_;  // by item id
   bool disjoint_ = true;
 };
 

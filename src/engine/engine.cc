@@ -23,6 +23,17 @@ void SleepMicros(uint64_t micros) {
   }
 }
 
+/// `ticks` of delay in microseconds, saturating at the longest sleep the
+/// clock can express. Validate bounds cap * unit, but a jittered delay can
+/// exceed the cap.
+uint64_t TicksToMicros(uint64_t ticks, uint64_t unit_micros) {
+  const uint64_t max_sleep =
+      static_cast<uint64_t>(std::chrono::microseconds::max().count());
+  return unit_micros != 0 && ticks > max_sleep / unit_micros
+             ? max_sleep
+             : ticks * unit_micros;
+}
+
 /// Why a transaction was condemned from outside its own worker.
 enum CondemnKind : uint8_t {
   kNotCondemned = 0,
@@ -229,7 +240,8 @@ void RestartTxn(EngineShared& shared, TxnRunner& runner,
                 TxnRunner::Cause cause) {
   runner.Restart(cause);
   shared.Progress();
-  SleepMicros(runner.BackoffDelay() * shared.config.backoff_unit_micros);
+  SleepMicros(
+      TicksToMicros(runner.BackoffDelay(), shared.config.backoff_unit_micros));
 }
 
 /// Drives one transaction until it commits or crashes. Returns false iff
@@ -280,7 +292,8 @@ bool RunOneTxn(EngineShared& shared, Worker& worker, size_t index) {
         RestartTxn(shared, runner, runner.cause());
         break;
       case TxnRunner::Outcome::kLatencySpike:
-        SleepMicros(runner.spike_ticks() * shared.config.backoff_unit_micros);
+        SleepMicros(TicksToMicros(runner.spike_ticks(),
+                                  shared.config.backoff_unit_micros));
         break;
       case TxnRunner::Outcome::kCrash:
         runner.Crash();

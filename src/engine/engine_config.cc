@@ -1,8 +1,10 @@
 #include "engine/engine_config.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 
 namespace nse {
 
@@ -30,6 +32,18 @@ Status EngineConfig::Validate() const {
   if (rp.backoff == RestartPolicy::Backoff::kExponential && rp.base == 0) {
     return Status::InvalidArgument(
         "exponential backoff with base 0 never backs off (0 << n == 0)");
+  }
+  // The engine sleeps delay * backoff_unit_micros, and the cap bounds the
+  // delay's shape: a product past the longest sleep the clock can express
+  // would wrap to a short (or negative, hence no) sleep.
+  const uint64_t max_sleep =
+      static_cast<uint64_t>(std::chrono::microseconds::max().count());
+  if (rp.backoff != RestartPolicy::Backoff::kImmediate &&
+      backoff_unit_micros != 0 && rp.cap > max_sleep / backoff_unit_micros) {
+    return Status::InvalidArgument(
+        StrCat("restart backoff cap ", rp.cap, " times backoff_unit_micros ",
+               backoff_unit_micros, " overflows the engine's sleep (max ",
+               max_sleep, " us)"));
   }
   if (rp.jitter > 0 && rp.jitter_seed == 0) {
     return Status::InvalidArgument(

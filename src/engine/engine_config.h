@@ -89,7 +89,8 @@ struct EngineConfig {
   uint64_t wait_timeout_micros = 200;
   /// Engine interpretation of one tick of delay (RestartBackoffDelay and
   /// FaultPlan latency spikes count ticks; the engine sleeps
-  /// ticks * backoff_unit_micros).
+  /// ticks * backoff_unit_micros). Validate rejects a backoff cap whose
+  /// product with it overflows the longest sleep the clock can express.
   uint64_t backoff_unit_micros = 20;
   /// Simulated per-operation I/O latency: each executed operation sleeps
   /// this long while holding its scheduler footprint. 0 = pure CPU. This

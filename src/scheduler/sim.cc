@@ -33,6 +33,11 @@ void EraseSorted(std::vector<size_t>& set, size_t id) {
   if (it != set.end() && *it == id) set.erase(it);
 }
 
+/// a + b, or UINT64_MAX where the sum would wrap.
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  return b > UINT64_MAX - a ? UINT64_MAX : a + b;
+}
+
 /// Calls `step(id)` for each id of the sorted `set` in [from, to), in
 /// increasing order. `step` may insert into or erase from `set`: the walk
 /// re-seeks past the id it just stepped, so an id inserted behind it waits
@@ -158,9 +163,11 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
       }
       return;
     }
-    uint64_t delay = runner.BackoffDelay();
-    result.backoff_ticks += delay;
-    vrt.resume_tick = tick + std::max<uint64_t>(delay, 1);
+    // Saturating: a delay near UINT64_MAX means "not within this run", and
+    // a wrapped sum would resume the victim at once.
+    const uint64_t delay = runner.BackoffDelay();
+    result.backoff_ticks = SaturatingAdd(result.backoff_ticks, delay);
+    vrt.resume_tick = SaturatingAdd(tick, std::max<uint64_t>(delay, 1));
   };
 
   // A transaction left for good — committed, or crashed (a crash retracts
@@ -220,7 +227,7 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
         progress = true;
         return;
       case TxnRunner::Outcome::kLatencySpike:
-        rt.resume_tick = tick + runner.spike_ticks();
+        rt.resume_tick = SaturatingAdd(tick, runner.spike_ticks());
         rt.blocked = false;
         pending_arrival = true;
         pending_backoff = true;

@@ -26,9 +26,8 @@ Schedule::Schedule(OpSequence ops) : ops_(std::move(ops)) {
 
 Result<Schedule> Schedule::FromOps(OpSequence ops) {
   Schedule schedule(std::move(ops));
-  for (TxnId txn : schedule.txn_ids()) {
-    NSE_RETURN_IF_ERROR(
-        schedule.TransactionOf(txn).ValidateAccessDiscipline());
+  for (const Transaction& txn : schedule.Transactions()) {
+    NSE_RETURN_IF_ERROR(txn.ValidateAccessDiscipline());
   }
   return schedule;
 }
@@ -44,9 +43,23 @@ Transaction Schedule::TransactionOf(TxnId txn) const {
 }
 
 std::vector<Transaction> Schedule::Transactions() const {
+  // One pass groups the operations by transaction index, in schedule order;
+  // a count pass first sizes each group exactly.
+  auto index_of = [this](TxnId txn) {
+    return static_cast<size_t>(
+        std::lower_bound(txn_ids_.begin(), txn_ids_.end(), txn) -
+        txn_ids_.begin());
+  };
+  std::vector<size_t> counts(txn_ids_.size(), 0);
+  for (const Operation& op : ops_) ++counts[index_of(op.txn)];
+  std::vector<OpSequence> grouped(txn_ids_.size());
+  for (size_t i = 0; i < grouped.size(); ++i) grouped[i].reserve(counts[i]);
+  for (const Operation& op : ops_) grouped[index_of(op.txn)].push_back(op);
   std::vector<Transaction> out;
   out.reserve(txn_ids_.size());
-  for (TxnId txn : txn_ids_) out.push_back(TransactionOf(txn));
+  for (size_t i = 0; i < grouped.size(); ++i) {
+    out.emplace_back(txn_ids_[i], std::move(grouped[i]));
+  }
   return out;
 }
 

@@ -69,7 +69,8 @@ class Schedule {
   /// The transaction with id `txn` (empty transaction if absent).
   Transaction TransactionOf(TxnId txn) const;
 
-  /// All transactions, in txn-id order.
+  /// All transactions, in txn-id order; each equals TransactionOf(id).
+  /// One pass over the operations, O(ops · log txns).
   std::vector<Transaction> Transactions() const;
 
   /// S^d: the schedule restricted to operations on items in d.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/string_util.h"
+#include "fuzz_env.h"
+#include "oracles/oracles.h"
 #include "paper/paper_examples.h"
 #include "txn/interleaver.h"
 
@@ -85,6 +89,76 @@ TEST(AccessGraphTest, TopologicalOrderGivesInductionOrder) {
   auto order = g.TopologicalOrder();
   ASSERT_TRUE(order.has_value());
   EXPECT_EQ(*order, (std::vector<size_t>{0, 1, 2}));
+}
+
+// DAG(S, IC) differential: the one-walk Build against the per-transaction
+// reference in tests/oracles. Random ICs allow overlapping conjuncts, and
+// every fourth seed has more than 64 of them so the per-transaction
+// conjunct bitsets span words; the last one or two items belong to no
+// conjunct. Each transaction only reads, only writes, or does both.
+TEST(DataAccessGraphFuzz, OneWalkMatchesPerTransactionReference) {
+  const size_t seeds = FuzzSeedCount(24);
+  size_t with_edges = 0;
+  size_t overlapping = 0;
+  size_t wide_edges = 0;
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    Rng rng(seed * 2741 + 5);
+    const bool wide = seed % 4 == 0;
+    const size_t num_items = wide ? 80 : 3 + rng.NextBelow(8);
+    const size_t constrained = num_items - 1 - rng.NextBelow(2);
+    Database db;
+    std::vector<std::string> names;
+    for (size_t i = 0; i < num_items; ++i) names.push_back(StrCat("x", i));
+    ASSERT_TRUE(db.AddIntItems(names, -4, 4).ok());
+    const size_t num_conjuncts =
+        wide ? 65 + rng.NextBelow(8) : 1 + rng.NextBelow(5);
+    std::vector<Formula> conjuncts;
+    for (size_t e = 0; e < num_conjuncts; ++e) {
+      Term sum = Var(static_cast<ItemId>(rng.NextBelow(constrained)));
+      for (uint64_t k = rng.NextBelow(3); k > 0; --k) {
+        sum = Add(sum, Var(static_cast<ItemId>(rng.NextBelow(constrained))));
+      }
+      conjuncts.push_back(Eq(sum, Const(Value(0))));
+    }
+    auto ic = IntegrityConstraint::FromConjuncts(db, std::move(conjuncts),
+                                                 ConjunctOverlap::kAllow);
+    ASSERT_TRUE(ic.ok()) << ic.status();
+
+    const size_t num_txns = 1 + rng.NextBelow(wide ? 40 : 8);
+    enum Role { kReadOnly, kWriteOnly, kBoth };
+    std::vector<Role> roles;
+    for (size_t t = 0; t < num_txns; ++t) {
+      roles.push_back(static_cast<Role>(rng.NextBelow(3)));
+    }
+    const size_t num_ops = 2 + rng.NextBelow(wide ? 200 : 40);
+    OpSequence ops;
+    for (size_t i = 0; i < num_ops; ++i) {
+      const size_t t = rng.NextBelow(num_txns);
+      const TxnId txn = static_cast<TxnId>(t + 1);
+      const ItemId item = static_cast<ItemId>(rng.NextBelow(num_items));
+      const bool write = roles[t] == kBoth ? rng.NextBool(0.5)
+                                           : roles[t] == kWriteOnly;
+      ops.push_back(write ? Operation::Write(txn, item, Value(0))
+                          : Operation::Read(txn, item, Value(0)));
+    }
+    Schedule s(std::move(ops));
+
+    const DataAccessGraph g = DataAccessGraph::Build(s, *ic);
+    const std::vector<std::pair<size_t, size_t>> edges = g.Edges();
+    ASSERT_EQ(g.num_nodes(), ic->num_conjuncts()) << "seed " << seed;
+    ASSERT_EQ(edges, oracles::DataAccessGraphReference(s, *ic))
+        << "seed " << seed;
+    if (!edges.empty()) ++with_edges;
+    if (!ic->disjoint()) ++overlapping;
+    for (const auto& [from, to] : edges) {
+      if (from >= 64 || to >= 64) ++wide_edges;
+    }
+  }
+  // Edges past the first bitset word, from overlapping ICs too, or the
+  // comparisons above were vacuous.
+  EXPECT_GT(with_edges, 0u);
+  EXPECT_GT(overlapping, 0u);
+  EXPECT_GT(wide_edges, 0u);
 }
 
 }  // namespace

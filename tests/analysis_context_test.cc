@@ -428,6 +428,13 @@ TEST(AnalysisContextFusedSweepFuzz, FusedPlanesMatchMaterializedReference) {
         EXPECT_EQ(ctx.projection_graph(e).Edges(), direct.Edges())
             << where << " conjunct " << e;
         EXPECT_EQ(ctx.projection_graph(e).IsAcyclic(), direct.IsAcyclic());
+        EXPECT_EQ(ctx.projection_graph(e).TopologicalOrder(),
+                  direct.TopologicalOrder())
+            << where << " conjunct " << e;
+        for (TxnId txn : direct.nodes()) {
+          EXPECT_EQ(ctx.projection_graph(e).InDegree(txn), direct.InDegree(txn))
+              << where << " conjunct " << e << " txn " << txn;
+        }
         std::optional<size_t> expected_pos;
         if (direct.cycle_op_pos().has_value()) {
           expected_pos = projected.source_positions[*direct.cycle_op_pos()];

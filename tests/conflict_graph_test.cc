@@ -228,7 +228,7 @@ TEST(ConflictAccessIndexTest, EraseOfHandleAboveEveryRecordedOneIsANoOp) {
 // Dense-sweep differential: the bitset fast path behind Build must be
 // bit-identical to the reference vector sweep — same edges inserted in the
 // same order, hence the same first cycle edge, witnesses, topological
-// orders, and render. In both modes the first cycle must be the one the
+// orders, in-degrees, and render. In both modes the first cycle must be the one the
 // incremental reference records. Swept over both shapes: a few txns on a few items
 // (contended histories) and many txns hammering one or two items (the
 // dense rows the bitsets target).
@@ -269,6 +269,10 @@ TEST(ConflictGraphDenseSweepFuzz, DenseBuildMatchesReferenceOnRandomSchedules) {
       ASSERT_EQ(dense.cycle(), first_cycle.cycle());
       ASSERT_EQ(dense.FindCycle(), reference.FindCycle());
       ASSERT_EQ(dense.TopologicalOrder(), reference.TopologicalOrder());
+      for (TxnId txn : dense.nodes()) {
+        ASSERT_EQ(dense.InDegree(txn), reference.InDegree(txn))
+            << "seed " << seed << " txn " << txn;
+      }
       ASSERT_EQ(dense.ToString(), reference.ToString());
       if (!dense.IsAcyclic()) ++cyclic;
     }

@@ -479,6 +479,40 @@ TEST(EngineConfigTest, ValidateRejectsInconsistentKnobs) {
             StatusCode::kInvalidArgument);
 }
 
+// The engine sleeps delay * backoff_unit_micros: a cap whose product with
+// the unit does not fit the clock's microseconds is a typed error, not a
+// wrapped (short or negative, hence skipped) sleep. Validate only; nothing
+// sleeps here.
+TEST(EngineConfigTest, ValidateRejectsBackoffCapOverflowingTheSleep) {
+  const uint64_t max_sleep = static_cast<uint64_t>(INT64_MAX);
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) {
+              c.restart.backoff = RestartPolicy::Backoff::kFixed;
+              c.restart.base = UINT64_MAX;
+              c.restart.cap = UINT64_MAX;
+            }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateCode([max_sleep](EngineConfig& c) {
+              c.backoff_unit_micros = 20;
+              c.restart.cap = max_sleep / 20 + 1;
+            }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateCode([max_sleep](EngineConfig& c) {
+              c.backoff_unit_micros = 20;
+              c.restart.cap = max_sleep / 20;  // the largest cap that fits
+            }),
+            StatusCode::kOk);
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) {
+              c.backoff_unit_micros = 0;  // no sleep at all
+              c.restart.cap = UINT64_MAX;
+            }),
+            StatusCode::kOk);
+  EXPECT_EQ(ValidateCode([](EngineConfig& c) {
+              c.restart.backoff = RestartPolicy::Backoff::kImmediate;
+              c.restart.cap = UINT64_MAX;  // unused without a shape
+            }),
+            StatusCode::kOk);
+}
+
 TEST(EngineConfigTest, DefaultConfigValidatesAndMatchesLegacyKnobs) {
   EngineConfig config;
   EXPECT_TRUE(config.Validate().ok());

@@ -185,7 +185,9 @@ TEST(FirstCycleReplayFuzz, SeededReplayMatchesIdentityOrderBuild) {
     ++cyclic;
     if (incremental.cycle()->size() > 3) ++long_witnesses;
 
-    // The batch graph and its emission log, as Build makes them.
+    // The batch graph and its emission log: the sweep Build runs, with
+    // each edge also inserted by hand, so the graph carries no cycle
+    // record yet.
     const std::vector<TxnId>& ids = s.txn_ids();
     ConflictGraph batch(ids);
     internal::EmissionLog log;

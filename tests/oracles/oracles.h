@@ -11,10 +11,12 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/conflict_graph.h"
 #include "analysis/violation_search.h"
+#include "constraints/integrity_constraint.h"
 #include "history/history.h"
 #include "txn/interleaver.h"
 
@@ -28,6 +30,16 @@ namespace oracles {
 /// the same order, hence the same cycle witnesses.
 ConflictGraph BuildReference(const Schedule& schedule,
                              CycleMode mode = CycleMode::kBatch);
+
+/// DataAccessGraph::Build per transaction: materializes
+/// schedule.Transactions(), builds each one's read and write DataSet, and
+/// tests them against every conjunct's data set — edge i → j (i ≠ j) when
+/// the reads meet d_i and the writes meet d_j. Returns the edges ordered by
+/// (from, to), as DataAccessGraph::Edges does. The production builder walks
+/// the schedule once over the IC's item → conjuncts table and must yield
+/// the same edges.
+std::vector<std::pair<size_t, size_t>> DataAccessGraphReference(
+    const Schedule& schedule, const IntegrityConstraint& ic);
 
 /// EnumerateInterleavingsFrom by replay-per-node: every tree node builds
 /// fresh ProgramExecution steppers and replays its whole choice prefix

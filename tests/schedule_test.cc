@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace nse {
 namespace {
 
@@ -190,6 +192,33 @@ TEST_F(ScheduleTest, SingleOpSchedule) {
   EXPECT_EQ(s.LastOpIndexOf(5), 0u);
   EXPECT_TRUE(s.CompletedBy(5, 0));
   EXPECT_TRUE(s.CompletedBy(1, 0));
+}
+
+// Transactions() groups the operations in one pass; each group must be
+// exactly the per-id slice TransactionOf takes, on sparse ids and
+// interleavings of every shape.
+TEST_F(ScheduleTest, TransactionsMatchTransactionOfOnRandomSchedules) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 389 + 1);
+    const size_t num_txns = 1 + rng.NextBelow(12);
+    const size_t num_ops = rng.NextBelow(80);
+    OpSequence ops;
+    for (size_t i = 0; i < num_ops; ++i) {
+      const TxnId txn = static_cast<TxnId>(5 * rng.NextBelow(num_txns) + 3);
+      const ItemId item = static_cast<ItemId>(rng.NextBelow(db_.num_items()));
+      const Value value(static_cast<int64_t>(i));
+      ops.push_back(rng.NextBool(0.5) ? Operation::Write(txn, item, value)
+                                      : Operation::Read(txn, item, value));
+    }
+    Schedule s(std::move(ops));
+    const std::vector<Transaction> txns = s.Transactions();
+    ASSERT_EQ(txns.size(), s.txn_ids().size()) << "seed " << seed;
+    for (size_t i = 0; i < txns.size(); ++i) {
+      const Transaction expected = s.TransactionOf(s.txn_ids()[i]);
+      EXPECT_EQ(txns[i].id(), expected.id()) << "seed " << seed;
+      EXPECT_EQ(txns[i].ops(), expected.ops()) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

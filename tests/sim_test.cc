@@ -116,6 +116,39 @@ TEST(SimTest, MaxTicksGuard) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+// A restart delay near UINT64_MAX saturates instead of wrapping: the
+// victim's resume tick stays out of reach, so the run spends its tick
+// budget instead of resuming the victim on the next tick (a wrapped
+// `tick + delay` finished this probe at makespan 12). A finite fixed delay
+// is still paid in full and ledgered exactly.
+TEST(SimTest, HugeRestartBackoffSaturatesInsteadOfWrapping) {
+  std::vector<TxnScript> scripts;
+  for (int i = 0; i < 6; ++i) scripts.push_back(Script({R(0), W(0)}));
+  EngineConfig config;
+  config.max_ticks = 10'000;
+  config.backoff_unit_micros = 0;  // engine-only; no sleep, so any cap is valid
+  config.restart.backoff = RestartPolicy::Backoff::kFixed;
+  config.restart.base = UINT64_MAX;
+  config.restart.cap = UINT64_MAX;
+  {
+    TimestampOrderingPolicy policy(scripts.size());
+    auto never = RunSimulation(policy, scripts, config);
+    ASSERT_FALSE(never.ok()) << "makespan " << never->makespan
+                             << ", backoff_ticks " << never->backoff_ticks;
+    EXPECT_EQ(never.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  config.restart.base = 1000;
+  config.restart.cap = 1000;
+  TimestampOrderingPolicy policy(scripts.size());
+  auto finite = RunSimulation(policy, scripts, config);
+  ASSERT_TRUE(finite.ok()) << finite.status();
+  uint64_t restarts = 0;
+  for (uint64_t n : finite->txn_restarts) restarts += n;
+  ASSERT_GT(restarts, 0u);
+  EXPECT_EQ(finite->backoff_ticks, 1000 * restarts);
+  EXPECT_GT(finite->makespan, 1000u);
+}
+
 TEST(SimTest, MetricsAreInternallyConsistent) {
   StrictTwoPhaseLocking policy;
   auto result = RunSimulation(
