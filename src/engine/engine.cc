@@ -65,11 +65,13 @@ struct EngineShared {
   WaitsForTracker waits;
   std::mutex detect_mu;
 
+  // Scripts 1..runnable are claimed in id order; the gate shed the rest.
+  size_t runnable;
   std::atomic<size_t> next_txn{0};
   // Bumped on every state change (granted op, skip, commit, abort).
   std::atomic<uint64_t> progress{0};
-  // Claimed, unfinished transactions not waiting on the hub: executing,
-  // paying an operation latency, or backing off.
+  // Claimed, unfinished transactions neither waiting on the hub nor parked:
+  // executing, paying an operation latency, or backing off.
   std::atomic<size_t> running{0};
 
   std::atomic<bool> failed{false};
@@ -82,7 +84,8 @@ struct EngineShared {
         start(Clock::now()),
         deadline(start + std::chrono::microseconds(config.max_wall_micros)),
         condemned(r.scripts().size()),
-        waiting(config.threads) {}
+        waiting(config.threads),
+        runnable(r.scripts().size()) {}
 
   /// Records the first failure and wakes everyone so workers drain out.
   void Fail(Status status) {
@@ -235,13 +238,23 @@ void AwaitRetry(EngineShared& shared, Worker& worker, size_t index) {
   shared.waiting[worker.slot] = WaitingSlot{};
 }
 
-/// Rolls the incarnation back and pays the RestartPolicy backoff.
+/// Rolls the incarnation back and re-enters as the runner answers. Parked,
+/// it holds no footprint, so it counts as neither running nor waiting.
 void RestartTxn(EngineShared& shared, TxnRunner& runner,
                 TxnRunner::Cause cause) {
-  runner.Restart(cause);
+  const Reentry reentry = runner.Restart(cause);
   shared.Progress();
-  SleepMicros(
-      TicksToMicros(runner.BackoffDelay(), shared.config.backoff_unit_micros));
+  if (reentry == Reentry::kBackoff) {
+    SleepMicros(TicksToMicros(runner.BackoffDelay(),
+                              shared.config.backoff_unit_micros));
+  } else if (reentry == Reentry::kParked) {
+    shared.running.fetch_sub(1, std::memory_order_acq_rel);
+    while (runner.parked() && !shared.HasFailed() &&
+           Clock::now() <= shared.deadline) {
+      SleepMicros(shared.config.wait_timeout_micros);
+    }
+    shared.running.fetch_add(1, std::memory_order_acq_rel);
+  }
 }
 
 /// Drives one transaction until it commits or crashes. Returns false iff
@@ -307,10 +320,9 @@ bool RunOneTxn(EngineShared& shared, Worker& worker, size_t index) {
 }
 
 void WorkerMain(EngineShared& shared, Worker& worker) {
-  const size_t n = shared.run.scripts().size();
   for (;;) {
     size_t index = shared.next_txn.fetch_add(1, std::memory_order_relaxed);
-    if (index >= n) return;
+    if (index >= shared.runnable) return;
     shared.running.fetch_add(1, std::memory_order_acq_rel);
     bool ok = RunOneTxn(shared, worker, index);
     shared.running.fetch_sub(1, std::memory_order_acq_rel);
@@ -324,21 +336,24 @@ Result<EngineResult> RunEngine(SchedulerPolicy& policy,
                                const std::vector<TxnScript>& scripts,
                                const EngineConfig& config) {
   NSE_RETURN_IF_ERROR(config.Validate());
-  if (config.restart.max_restarts_before_boost > 0) {
-    return Status::Unimplemented(
-        "the starvation watchdog (max_restarts_before_boost) is "
-        "simulator-only");
-  }
-  if (config.restart.max_live_txns > 0) {
-    return Status::Unimplemented(
-        "the admission gate (max_live_txns) is simulator-only");
-  }
-
+  const size_t n = scripts.size();
   RunContext run(policy, scripts, config, config.threads == 1);
   EngineShared shared(run, config);
+  // Every script arrives at once (arrival ticks are a simulator notion), so
+  // a gate of g admits scripts 1..g, then sheds the rest or queues them
+  // behind g workers.
+  const size_t gate = config.restart.max_live_txns;
+  size_t num_workers = config.threads;
+  if (gate > 0 && gate < n) {
+    if (run.Admit(gate) == RunContext::Admission::kShed) {
+      shared.runnable = gate;
+    } else {
+      num_workers = std::min(num_workers, gate);
+    }
+  }
   std::deque<Worker> workers;  // stable addresses: runners point at tallies
   std::vector<std::thread> threads;
-  for (size_t i = 0; i < config.threads; ++i) {
+  for (size_t i = 0; i < num_workers; ++i) {
     Worker& worker = workers.emplace_back(shared, i);
     threads.emplace_back([&shared, &worker] { WorkerMain(shared, worker); });
   }
@@ -353,7 +368,8 @@ Result<EngineResult> RunEngine(SchedulerPolicy& policy,
     result.Absorb(worker.tally);
     result.wait_events += worker.wait_events;
   }
-  if (result.completed + result.crashes != scripts.size()) {
+  result.shed = n - shared.runnable;
+  if (result.completed + result.crashes + result.shed != n) {
     return Status::Internal(
         "engine finished without committing every transaction");
   }
@@ -362,7 +378,7 @@ Result<EngineResult> RunEngine(SchedulerPolicy& policy,
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                             shared.start)
           .count());
-  result.threads = config.threads;
+  result.threads = num_workers;
   result.throughput_tps =
       result.wall_micros == 0
           ? 0

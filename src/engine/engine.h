@@ -4,7 +4,8 @@
 // races — where the tick simulator (scheduler/sim.h) drives the same
 // policy contract deterministically. Both step transactions through one
 // TxnRunner (scheduler/txn_runner.h), which executes, buffers, commits,
-// aborts and injects faults; what stays here is the worker loop. Each
+// aborts, injects faults and governs restarts; what stays here is the
+// worker loop, which sleeps a backoff or idles while parked. Each
 // worker claims one transaction at a time and runs it to commit (or an
 // injected crash). Blocked requests wait on the policy's WaitHub with a
 // bounded timeout; a timed-out waiter doubles as the deadlock detector,
@@ -27,8 +28,8 @@ namespace nse {
 
 /// Aggregate outcome of one engine run: the shared RunResult ledger plus
 /// wall-clock figures. Event counters are exact but their interleaving is
-/// nondeterministic run to run; only `completed`, `crashes`, `total_ops`
-/// and the trace's class membership are stable contracts.
+/// nondeterministic run to run; only `completed`, `crashes`, `shed`,
+/// `total_ops` and the trace's class membership are stable contracts.
 struct EngineResult : RunResult {
   uint64_t wait_events = 0;      ///< kWait verdicts (each = one hub wait)
   uint64_t wall_micros = 0;      ///< wall-clock duration of the run
@@ -38,12 +39,12 @@ struct EngineResult : RunResult {
 
 /// Runs `scripts` under `policy` with `config.threads` workers, claimed in
 /// id order (transaction ids are 1-based script indices; arrival ticks and
-/// a FaultPlan's arrival perturbation are simulator notions). A latency
-/// spike of k ticks sleeps k * backoff_unit_micros. Fails on an invalid
-/// config, on the simulator-only watchdog or admission gate
-/// (Unimplemented), on a malformed policy request, on a stall with no
-/// waits-for cycle (policy bug), or past max_wall_micros. On success
-/// completed + crashes == scripts.size().
+/// a FaultPlan's arrival perturbation are simulator notions: all arrive at
+/// once, and an admission gate of g admits scripts 1..g). A latency spike
+/// of k ticks sleeps k * backoff_unit_micros. Fails on an invalid config,
+/// on a malformed policy request, on a stall with no waits-for cycle
+/// (policy bug), or past max_wall_micros. On success completed + crashes
+/// + shed == scripts.size().
 Result<EngineResult> RunEngine(SchedulerPolicy& policy,
                                const std::vector<TxnScript>& scripts,
                                const EngineConfig& config = EngineConfig());

@@ -5,9 +5,9 @@
 // rejected instead of silently accepted.
 //
 // The RestartPolicy (backoff shape, starvation watchdog, admission gate)
-// lives here too, along with the pure backoff-delay function both drivers
-// share; the simulator interprets delays as ticks, the engine as multiples
-// of backoff_unit_micros.
+// lives here too, along with the pure backoff-delay function; both drivers
+// run all of it (scheduler/txn_runner.h), the simulator counting delays in
+// ticks, the engine in multiples of backoff_unit_micros.
 
 #ifndef NSE_ENGINE_ENGINE_CONFIG_H_
 #define NSE_ENGINE_ENGINE_CONFIG_H_
@@ -45,16 +45,15 @@ struct RestartPolicy {
   uint64_t jitter_seed = 1;
   /// Starvation watchdog: once a transaction's restart count exceeds this,
   /// it is *boosted* rather than left to lose every future race. The
-  /// lowest-id boosted unfinished transaction holds the privilege (zero
-  /// backoff, scanned first each tick); other boosted ones are *parked*
-  /// until it finishes, since two free restarters can re-abort each other
-  /// forever. 0 disables. Simulator-only; the engine rejects it
-  /// (Unimplemented).
+  /// lowest-id boosted unfinished transaction holds the privilege (no
+  /// backoff; the simulator also scans it first); other boosted ones are
+  /// *parked* until a boosted one retires. Wound and deadlock victims pay
+  /// the backoff even when boosted (TxnRunner::Restart). 0 disables.
   uint64_t max_restarts_before_boost = 0;
   /// Admission gate: max transactions live (admitted, not yet done) at
   /// once. 0 = unlimited. Arrivals beyond the gate are queued (admitted in
   /// (arrival, id) order as slots free) or shed (dropped, counted, never
-  /// run) per `overflow`. Simulator-only; the engine rejects it.
+  /// run) per `overflow`.
   size_t max_live_txns = 0;
   enum class Overflow { kQueue, kShed };
   Overflow overflow = Overflow::kQueue;

@@ -17,8 +17,7 @@ struct TxnRuntime {
   bool done = false;
   bool committed = false;
   bool blocked = false;   // last step answered kWait
-  bool boosted = false;   // starvation watchdog fired
-  bool parked = false;    // boosted but waiting for the privileged one
+  bool parked = false;    // boosted but waiting for the privilege to move
   uint64_t completion_tick = 0;
   uint64_t resume_tick = 0;  // abort backoff / latency spike: idle until then
   uint64_t arrival = 0;      // effective (possibly perturbed) arrival tick
@@ -60,7 +59,6 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
                                 const EngineConfig& config) {
   NSE_RETURN_IF_ERROR(config.Validate());
   const size_t n = scripts.size();
-  const RestartPolicy& rp = config.restart;
   RunContext run(policy, scripts, config, /*one_driver_thread=*/true);
   SimResult result;
   std::vector<TxnRuntime> runtime(n);
@@ -85,11 +83,11 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
 
   // The tick's working set, kept explicit so that a tick touches only the
   // transactions it can move. `live` holds the admitted, unfinished script
-  // indices and `boosted` the boosted, unfinished ones, both sorted;
+  // indices, sorted (run.boosted() the boosted ones among them);
   // `next_admit` is the first entry of admission_order not yet admitted or
   // shed.
   std::vector<size_t> live;
-  std::vector<size_t> boosted;
+  const std::vector<size_t>& boosted = run.boosted();
   size_t next_admit = 0;
   size_t done_count = 0;
 
@@ -106,61 +104,21 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
   bool pending_arrival = false;   // not yet arrived, or in backoff/spike
   bool pending_backoff = false;   // in deliberate backoff or latency spike
 
-  // The transaction currently holding the watchdog's escalation privilege:
-  // the lowest-id boosted, unfinished transaction (0 if none). Only it gets
-  // zero backoff and the front of the scan — two simultaneously free-to-
-  // restart transactions can re-abort each other forever (seen with TO:
-  // each zero-cost restart draws a fresh stamp that re-rejects the other),
-  // so escalations are strictly serialized.
-  auto privileged_boosted = [&]() -> TxnId {
-    return boosted.empty() ? 0 : static_cast<TxnId>(boosted.front() + 1);
-  };
-
-  // Wake every parked transaction (called when a boosted transaction
-  // finishes and the privilege transfers). Only boosted ones park.
-  auto wake_parked = [&]() {
-    for (size_t i : boosted) {
-      if (runtime[i].parked) {
-        runtime[i].parked = false;
-        runtime[i].resume_tick = tick + 1;
-      }
-    }
-  };
-
-  // Abort `victim` and schedule its restart under the RestartPolicy: the
-  // runner rolls it back and rewinds it; backing off lets the surviving
-  // transactions drain before it re-enters (otherwise the same conflict can
-  // re-form forever). Shared by the deadlock-victim path, policy-requested
-  // kAbortSelf verdicts, wounds, and injected client aborts.
+  // Abort `victim` and schedule its restart as the runner answers: after a
+  // backoff, which lets the surviving transactions drain before it
+  // re-enters (otherwise the same conflict can re-form forever); next tick
+  // with the privilege (and the front of the scan); or parked. Shared by
+  // the deadlock-victim path, policy-requested kAbortSelf verdicts,
+  // wounds, and injected client aborts.
   auto restart_txn = [&](TxnId victim, TxnRunner::Cause cause) {
     TxnRunner& runner = runners[victim - 1];
-    runner.Restart(cause);
+    const Reentry reentry = runner.Restart(cause);
     waits.OnResolved(victim);
     TxnRuntime& vrt = runtime[victim - 1];
     vrt.blocked = false;
-    if (!vrt.boosted && rp.max_restarts_before_boost > 0 &&
-        runner.restarts() > rp.max_restarts_before_boost) {
-      // Starvation watchdog: past the cap the transaction is escalated
-      // instead of livelocking through delays it always loses.
-      vrt.boosted = true;
-      InsertSorted(boosted, victim - 1);
-      ++result.boosts;
-    }
-    if (vrt.boosted) {
-      if (privileged_boosted() == victim) {
-        // Free restart + front-of-scan priority: it keeps retrying at full
-        // cadence while every other chronic restarter is parked or paying
-        // backoff, so it eventually runs unopposed and commits.
-        vrt.parked = false;
-        vrt.resume_tick = tick + 1;
-      } else {
-        // Parked until the privileged transaction finishes: a chronically
-        // colliding peer leaves the arena entirely (it holds no footprint
-        // after the abort), which is what guarantees the privileged one
-        // stops meeting fresh conflicts from it.
-        vrt.parked = true;
-        vrt.resume_tick = UINT64_MAX;
-      }
+    vrt.parked = reentry == Reentry::kParked;
+    if (reentry != Reentry::kBackoff) {
+      vrt.resume_tick = vrt.parked ? UINT64_MAX : tick + 1;
       return;
     }
     // Saturating: a delay near UINT64_MAX means "not within this run", and
@@ -182,9 +140,13 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
     rt.completion_tick = tick;
     ++done_count;
     EraseSorted(live, i);
-    if (rt.boosted) {
-      EraseSorted(boosted, i);
-      wake_parked();  // the privilege transfers
+    if (runners[i].boosted()) {  // the privilege may have moved: wake all
+      for (size_t j : boosted) {
+        if (runtime[j].parked) {
+          runtime[j].parked = false;
+          runtime[j].resume_tick = tick + 1;
+        }
+      }
     }
   };
 
@@ -257,39 +219,35 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
     progress = false;
     pending_backoff = false;
 
-    // Admission gate, in (arrival, id) order: every arrived transaction is
-    // admitted while the gate has room; with kShed, arrivals that find the
-    // gate full are dropped on the spot (graceful degradation — the
-    // alternative under overload is unbounded queueing). With kQueue the
-    // cursor stops at the first arrival the gate turns away: the gate stays
-    // full for every later one this tick.
+    // Admission gate, in (arrival, id) order. With kQueue the cursor stops
+    // at the first arrival the gate turns away: the gate stays full for
+    // every later one this tick.
     for (; next_admit < n; ++next_admit) {
       const size_t i = admission_order[next_admit];
       if (runtime[i].arrival > tick) break;
-      if (rp.max_live_txns == 0 || live.size() < rp.max_live_txns) {
+      const RunContext::Admission admission = run.Admit(live.size());
+      if (admission == RunContext::Admission::kQueue) break;
+      if (admission == RunContext::Admission::kAdmit) {
         InsertSorted(live, i);
-      } else if (rp.overflow == RestartPolicy::Overflow::kShed) {
-        runtime[i].done = true;
-        ++done_count;
-        ++result.shed;
-        progress = true;
-      } else {
-        break;
+        continue;
       }
+      runtime[i].done = true;
+      ++done_count;
+      ++result.shed;
+      progress = true;
     }
     pending_arrival = runtime[admission_order.back()].arrival > tick;
 
     // Starvation watchdog: boosted transactions go first, in id order —
-    // they stopped paying backoff, and winning the intra-tick race is what
-    // converts "restarts forever" into "commits next". A transaction
-    // boosted during this walk joins it only if its id is past the current
-    // one, as in a scan of every id.
+    // winning the intra-tick race is what converts "restarts forever" into
+    // "commits next". A transaction boosted during this walk joins it only
+    // if its id is past the current one, as in a scan of every id.
     WalkSorted(boosted, 0, n, attempt);
     // Then every other live transaction, from the rotated scan origin
     // tick % n upwards and wrapping round (fairness, deterministically).
     const size_t origin = static_cast<size_t>(tick % n);
     auto attempt_unboosted = [&](size_t i) {
-      if (!runtime[i].boosted) attempt(i);  // else it had its boosted turn
+      if (!runners[i].boosted()) attempt(i);  // else it had its boosted turn
     };
     WalkSorted(live, origin, n, attempt_unboosted);
     WalkSorted(live, 0, origin, attempt_unboosted);
@@ -360,8 +318,22 @@ Result<SimResult> RunSimulation(SchedulerPolicy& policy,
   }
 
   if (done_count != n) {
-    return Status::DeadlineExceeded(
-        StrCat("simulation exceeded max_ticks=", config.max_ticks));
+    // A livelock names itself: the live states and the chronic restarter.
+    size_t parked = 0;
+    size_t blocked = 0;
+    size_t worst = live.empty() ? 0 : live.front();
+    for (size_t i : live) {
+      parked += runtime[i].parked;
+      blocked += runtime[i].blocked;
+      if (runners[i].restarts() > runners[worst].restarts()) worst = i;
+    }
+    return Status::DeadlineExceeded(StrCat(
+        "simulation exceeded max_ticks=", config.max_ticks, ": ", live.size(),
+        " live, ", boosted.size(), " boosted, ", parked, " parked, ", blocked,
+        " blocked",
+        live.empty() ? "" : StrCat("; most restarted live T", worst + 1, " (",
+                                   runners[worst].restarts(), " restarts, pc ",
+                                   runners[worst].pc(), ")")));
   }
 
   run.Finish(result);

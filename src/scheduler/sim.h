@@ -8,13 +8,12 @@
 // the policy promises (CSR / PWSR / DR).
 //
 // Transactions step through the TxnRunner (txn_runner.h) the threaded
-// engine uses; what stays here is the tick loop. An optional FaultPlan
-// (fault_injection.h) injects client aborts, crashes, latency spikes and
-// arrival perturbation, and a RestartPolicy governs re-entry: backoff
-// shape with deterministic jitter, plus two tick-scheduling ideas only
-// this driver has — a starvation watchdog that boosts a transaction past
-// its restart cap, and an admission gate (max live transactions; overflow
-// queued or shed).
+// engine uses, which also decides restart governance for both drivers
+// (backoff, starvation watchdog, admission gate); what stays here is the
+// tick loop: a restart waits out its backoff in ticks, a parked one idles
+// until a boosted transaction retires, and arrivals meet the gate in
+// (arrival, id) order. An optional FaultPlan (fault_injection.h) injects
+// client aborts, crashes, latency spikes and arrival perturbation.
 //
 // Cost: a tick costs O(live + boosted) plus the policy calls it makes, not
 // O(scripts). The driver keeps its working set explicit — a sorted live
@@ -42,8 +41,6 @@ namespace nse {
 /// plus the tick-scheduling figures.
 struct SimResult : RunResult {
   uint64_t makespan = 0;           ///< tick after the last completion
-  uint64_t shed = 0;               ///< arrivals dropped by the admission gate
-  uint64_t boosts = 0;             ///< starvation-watchdog escalations
   uint64_t backoff_ticks = 0;      ///< total deliberate restart-delay ticks
   uint64_t total_wait_ticks = 0;   ///< ticks spent blocked, all txns
   double avg_response_ticks = 0;   ///< mean completion − arrival (committed)
@@ -52,10 +49,11 @@ struct SimResult : RunResult {
 
 /// Runs `scripts` under `policy`. Transaction ids are 1-based script
 /// indices. Fails on an invalid `config` (EngineConfig::Validate), with
-/// DeadlineExceeded past `config.max_ticks`, or with Internal on a stall
-/// without a detectable deadlock (a policy bug). Engine-only knobs (threads, wait timeouts, latency) are
-/// ignored. Crashed and shed transactions never commit — everything else
-/// must (the chaos harness's forward-progress contract).
+/// DeadlineExceeded past `config.max_ticks` (counting live states), or with
+/// Internal on a stall without a detectable deadlock (a policy bug).
+/// Engine-only knobs (threads, wait timeouts, latency) are ignored. Crashed
+/// and shed transactions never commit — everything else must (the chaos
+/// harness's forward-progress contract).
 Result<SimResult> RunSimulation(SchedulerPolicy& policy,
                                 const std::vector<TxnScript>& scripts,
                                 const EngineConfig& config = EngineConfig());

@@ -33,6 +33,7 @@ void RunResult::Absorb(const RunResult& other) {
   fault_aborts += other.fault_aborts;
   crashes += other.crashes;
   latency_spike_ticks += other.latency_spike_ticks;
+  boosts += other.boosts;
   max_txn_restarts = std::max(max_txn_restarts, other.max_txn_restarts);
 }
 
@@ -82,6 +83,15 @@ void RunContext::Finish(RunResult& result) {
   result.schedule = Schedule(std::move(ops_));
 }
 
+RunContext::Admission RunContext::Admit(size_t live) const {
+  const RestartPolicy& rp = config_.restart;
+  if (rp.max_live_txns == 0 || live < rp.max_live_txns) {
+    return Admission::kAdmit;
+  }
+  return rp.overflow == RestartPolicy::Overflow::kShed ? Admission::kShed
+                                                       : Admission::kQueue;
+}
+
 TxnRunner::TxnRunner(RunContext& context, RunResult& tally)
     : context_(context), tally_(tally) {}
 
@@ -91,6 +101,7 @@ void TxnRunner::Begin(TxnId txn) {
   pc_ = 0;
   skips_this_life_ = 0;
   restarts_ = 0;
+  boosted_ = false;
   fault_aborts_ = 0;
   spike_paid_pc_ = SIZE_MAX;
   crash_step_ = context_.faults_ == nullptr
@@ -191,7 +202,7 @@ void TxnRunner::Commit() {
   context_.policy_.Commit(txn_);
   ++tally_.completed;
   tally_.committed_skipped_ops += skips_this_life_;
-  context_.txn_restarts_[txn_ - 1] = restarts_;
+  Retire();
 }
 
 void TxnRunner::Retract() {
@@ -205,7 +216,16 @@ void TxnRunner::Retract() {
   undo_.clear();
 }
 
-void TxnRunner::Restart(Cause cause) {
+void TxnRunner::Retire() {
+  context_.txn_restarts_[txn_ - 1] = restarts_;
+  if (!boosted_) return;
+  std::lock_guard<std::mutex> lock(context_.governance_mu_);
+  std::vector<size_t>& boosted = context_.boosted_;
+  boosted.erase(std::lower_bound(boosted.begin(), boosted.end(), txn_ - 1));
+  ++context_.boosted_retired_;
+}
+
+Reentry TxnRunner::Restart(Cause cause) {
   Retract();
   switch (cause) {
     case Cause::kDeadlock: ++tally_.aborts; break;
@@ -221,12 +241,29 @@ void TxnRunner::Restart(Cause cause) {
   spike_paid_pc_ = SIZE_MAX;
   ++restarts_;
   tally_.max_txn_restarts = std::max(tally_.max_txn_restarts, restarts_);
+  // Lock-free below the cap: only this runner's thread touches boosted_.
+  const uint64_t cap = context_.config_.restart.max_restarts_before_boost;
+  if (!boosted_ && (cap == 0 || restarts_ <= cap)) return Reentry::kBackoff;
+  std::lock_guard<std::mutex> lock(context_.governance_mu_);
+  std::vector<size_t>& boosted = context_.boosted_;
+  if (!boosted_) {
+    boosted_ = true;
+    ++tally_.boosts;
+    boosted.insert(std::upper_bound(boosted.begin(), boosted.end(), txn_ - 1),
+                   txn_ - 1);
+  }
+  if (cause == Cause::kWound || cause == Cause::kDeadlock) {
+    return Reentry::kBackoff;  // it lost a conflict: let the winner go first
+  }
+  if (boosted.front() == txn_ - 1) return Reentry::kPrivileged;
+  parked_at_ = context_.boosted_retired_;
+  return Reentry::kParked;
 }
 
 void TxnRunner::Crash() {
   Retract();
   ++tally_.crashes;
-  context_.txn_restarts_[txn_ - 1] = restarts_;
+  Retire();
 }
 
 uint64_t TxnRunner::BackoffDelay() const {

@@ -1,7 +1,8 @@
 // The one transaction state machine under both scheduler drivers, the tick
 // simulator (sim.h) and the threaded engine (engine/engine.h). A TxnRunner
-// steps one transaction against the shared SchedulerPolicy; the drivers
-// only decide *when* it gets its next step and how a backoff is paid.
+// steps one transaction against the shared SchedulerPolicy and answers how
+// a restart re-enters (RunContext holds the watchdog's boosted set and the
+// admission gate); the drivers only decide *when* it steps and how it waits.
 //
 // The runner owns the incarnation (pc, skips, restarts, and a buffer of
 // granted operations with their policy-issued trace_seq: commit appends
@@ -18,6 +19,7 @@
 #ifndef NSE_SCHEDULER_TXN_RUNNER_H_
 #define NSE_SCHEDULER_TXN_RUNNER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -46,6 +48,8 @@ struct RunResult {
   uint64_t fault_aborts = 0;     ///< injected spontaneous client aborts
   uint64_t crashes = 0;          ///< injected terminal crash-at-op faults
   uint64_t latency_spike_ticks = 0;  ///< total injected latency-spike ticks
+  uint64_t boosts = 0;           ///< starvation-watchdog escalations
+  uint64_t shed = 0;             ///< arrivals dropped by the admission gate
   uint64_t max_txn_restarts = 0;  ///< max restarts of any single txn
   uint64_t total_ops = 0;        ///< committed operations in the trace
   Schedule schedule;             ///< committed trace, in trace_seq order
@@ -61,10 +65,17 @@ struct RunResult {
   void Absorb(const RunResult& other);
 };
 
+/// How a restarted transaction re-enters: after BackoffDelay(), at once
+/// (it holds the watchdog's privilege), or parked until a boosted
+/// transaction retires.
+enum class Reentry { kBackoff, kPrivileged, kParked };
+
 /// What every transaction of one run shares (thread-safe: the store is
-/// atomic per cell and commits splice the trace under a mutex).
+/// atomic per cell; the trace and the boosted set each have a mutex).
 class RunContext {
  public:
+  enum class Admission { kAdmit, kQueue, kShed };
+
   /// `one_driver_thread`: a single thread calls the policy, so every
   /// condemnation a request drains was issued by that request.
   RunContext(SchedulerPolicy& policy, const std::vector<TxnScript>& scripts,
@@ -76,6 +87,13 @@ class RunContext {
   /// Places the trace by trace_seq in place and hands it to `result` with
   /// read_sources, total_ops, vetoes and txn_restarts. Call once, last.
   void Finish(RunResult& result);
+
+  /// The admission gate's verdict on an arrival that finds `live`
+  /// transactions admitted and unfinished.
+  Admission Admit(size_t live) const;
+  /// The boosted, unfinished script indices, sorted; the first holds the
+  /// watchdog's privilege. For a single driver thread (the simulator).
+  const std::vector<size_t>& boosted() const { return boosted_; }
 
  private:
   friend class TxnRunner;
@@ -98,6 +116,11 @@ class RunContext {
   std::vector<std::optional<TxnId>> read_sources_;
   std::vector<uint64_t> seqs_;
   std::vector<uint64_t> txn_restarts_;  // written once per finished txn
+  // The boosted set, and how many boosted transactions retired so far (the
+  // privilege's moves, which parked transactions watch for).
+  std::mutex governance_mu_;
+  std::vector<size_t> boosted_;
+  std::atomic<uint64_t> boosted_retired_{0};
 };
 
 /// Drives one transaction through its incarnations. One driver thread owns
@@ -125,6 +148,8 @@ class TxnRunner {
 
   size_t pc() const { return pc_; }
   uint64_t restarts() const { return restarts_; }
+  /// True once the starvation watchdog boosted the transaction.
+  bool boosted() const { return boosted_; }
   /// True once every step of the incarnation executed or was skipped.
   bool finished() const { return pc_ == script_->steps.size(); }
 
@@ -144,18 +169,29 @@ class TxnRunner {
   /// Publishes the buffer into the trace and commits the footprint.
   void Commit();
   /// Rolls the incarnation back (undo writes, policy Abort, drop the
-  /// buffer) and starts the next one at the first step.
-  void Restart(Cause cause);
+  /// buffer), starts the next one at the first step, and answers how it
+  /// re-enters (RestartPolicy::max_restarts_before_boost). A boosted wound
+  /// or deadlock victim still pays the backoff: re-entering at once, it
+  /// would re-take the lock its winner waits for, and lose again.
+  Reentry Restart(Cause cause);
   /// Rolls the incarnation back for good: the transaction never commits.
   void Crash();
   /// The RestartPolicy delay (ticks) owed before the current incarnation.
   uint64_t BackoffDelay() const;
+  /// After kParked: true until a boosted transaction retires (the
+  /// privilege may move).
+  bool parked() const {
+    return context_.boosted_retired_.load(std::memory_order_acquire) ==
+           parked_at_;
+  }
 
  private:
   /// Executes a granted step against the store and buffers it.
   Status Execute(const AccessGrant& grant);
   /// Undoes the incarnation's writes, then retracts its footprint.
   void Retract();
+  /// Leaves for good (commit or crash), passing on a held privilege.
+  void Retire();
 
   struct Undo {  // a store write of this incarnation
     ItemId item;
@@ -170,6 +206,8 @@ class TxnRunner {
   size_t pc_ = 0;
   uint64_t skips_this_life_ = 0;
   uint64_t restarts_ = 0;
+  bool boosted_ = false;
+  uint64_t parked_at_ = 0;           // boosted retirements seen at kParked
   uint64_t fault_aborts_ = 0;        // injected, capped by the plan
   size_t crash_step_ = SIZE_MAX;     // terminal crash step, or never
   size_t spike_paid_pc_ = SIZE_MAX;  // last step latency-checked this life

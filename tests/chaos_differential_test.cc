@@ -19,10 +19,9 @@
 //      identical counters.
 //
 // Both drivers step transactions through the same TxnRunner, which is
-// where faults are injected, so the profiles that use neither the
-// starvation watchdog nor the admission gate (tick-scheduling ideas the
-// engine does not implement) also run on the threaded engine at 1 and 4
-// workers. There contracts 1–3 are pinned; the engine's event counters
+// where faults are injected, and run the same restart governance in its
+// RunContext, so every profile also runs on the threaded engine at 1 and
+// 4 workers. There contracts 1–3 are pinned; the engine's event counters
 // are nondeterministic, so counter checks stay on the simulator.
 //
 // Faults reach the policies only through the drivers' shared Abort /
@@ -95,7 +94,7 @@ struct ChaosSetup {
   RestartPolicy restart;
 };
 
-/// Three adversity profiles per seed, each plan keyed off the sweep seed
+/// Four adversity profiles per seed, each plan keyed off the sweep seed
 /// so every seed sees different fault placements.
 std::vector<ChaosSetup> ChaosSetups(uint64_t seed) {
   ChaosSetup aborts;
@@ -131,7 +130,17 @@ std::vector<ChaosSetup> ChaosSetups(uint64_t seed) {
   full.restart.max_restarts_before_boost = 6;
   full.restart.max_live_txns = 3;  // kQueue: nothing is shed
 
-  return {aborts, crashes, full};
+  // The watchdog at its most eager, with no gate to thin the contention:
+  // a gate of 3 live transactions is what hid the livelocks of boosted
+  // wound and deadlock victims that re-entered at once.
+  ChaosSetup watchdog;
+  watchdog.label = "client-aborts+watchdog";
+  watchdog.faults.seed = seed * 7 + 5;
+  watchdog.faults.client_abort_probability = 0.4;
+  watchdog.faults.max_client_aborts_per_txn = 2;
+  watchdog.restart.max_restarts_before_boost = 1;
+
+  return {aborts, crashes, full, watchdog};
 }
 
 const size_t kEngineThreads[] = {1, 4};
@@ -152,9 +161,9 @@ void ExpectClass(const Workload& workload, const Schedule& schedule,
 
 /// Forward progress: every non-crashed, non-shed transaction committed,
 /// and the trace holds operations of committed transactions only.
-void ExpectForwardProgress(const RunResult& result, uint64_t shed,
-                           size_t num_txns, const std::string& where) {
-  EXPECT_EQ(result.completed + result.crashes + shed, num_txns)
+void ExpectForwardProgress(const RunResult& result, size_t num_txns,
+                           const std::string& where) {
+  EXPECT_EQ(result.completed + result.crashes + result.shed, num_txns)
       << "a transaction neither committed nor crashed nor was shed under "
       << where;
   std::set<TxnId> in_trace;
@@ -193,9 +202,9 @@ void ExpectBitIdentical(const SimResult& a, const SimResult& b,
 }
 
 /// Runs the workload under `setup` on the simulator twice (fresh policy
-/// per run via `make`), asserting determinism and forward progress, then —
-/// for the profiles without watchdog and gate — on the engine at every
-/// kEngineThreads count, asserting forward progress. `check(policy,
+/// per run via `make`), asserting determinism and forward progress, then
+/// on the engine at every kEngineThreads count, asserting forward
+/// progress. `check(policy,
 /// result, where)` gets every run's result with its policy at quiescence,
 /// for the class and residual-state checks. Returns the first simulator
 /// result for simulator-only counter checks.
@@ -217,24 +226,21 @@ SimResult RunChaos(const Workload& workload, const ChaosSetup& setup,
   EXPECT_TRUE(replay.ok()) << setup.label << ": " << replay.status();
   if (replay.ok()) ExpectBitIdentical(*result, *replay, setup.label);
   const std::string sim_where = std::string("sim, ") + setup.label;
-  ExpectForwardProgress(*result, result->shed, n, sim_where);
+  ExpectForwardProgress(*result, n, sim_where);
   check(*policy, *result, sim_where);
 
-  if (setup.restart.max_restarts_before_boost == 0 &&
-      setup.restart.max_live_txns == 0) {
-    config.wait_timeout_micros = 100;  // brisk deadlock-detector cadence
-    config.backoff_unit_micros = 5;    // tiny workloads: short real sleeps
-    for (size_t threads : kEngineThreads) {
-      config.threads = threads;
-      const std::string where = std::string("engine x") +
-                                std::to_string(threads) + ", " + setup.label;
-      auto engine_policy = make();
-      auto run = RunEngine(*engine_policy, workload.scripts, config);
-      EXPECT_TRUE(run.ok()) << where << ": " << run.status();
-      if (!run.ok()) continue;
-      ExpectForwardProgress(*run, 0, n, where);
-      check(*engine_policy, *run, where);
-    }
+  config.wait_timeout_micros = 100;  // brisk deadlock-detector cadence
+  config.backoff_unit_micros = 5;    // tiny workloads: short real sleeps
+  for (size_t threads : kEngineThreads) {
+    config.threads = threads;
+    const std::string where = std::string("engine x") +
+                              std::to_string(threads) + ", " + setup.label;
+    auto engine_policy = make();
+    auto run = RunEngine(*engine_policy, workload.scripts, config);
+    EXPECT_TRUE(run.ok()) << where << ": " << run.status();
+    if (!run.ok()) continue;
+    ExpectForwardProgress(*run, n, where);
+    check(*engine_policy, *run, where);
   }
   return *std::move(result);
 }

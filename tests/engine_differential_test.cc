@@ -45,6 +45,7 @@
 #include "scheduler/pw_two_phase_locking.h"
 #include "scheduler/sgt_policy.h"
 #include "scheduler/sgt_victim_policy.h"
+#include "scheduler/sim.h"
 #include "scheduler/timestamp_ordering.h"
 #include "scheduler/two_phase_locking.h"
 #include "scheduler/workload.h"
@@ -415,19 +416,66 @@ TEST(EngineTest, SlowLockHolderIsNotAStall) {
   }
 }
 
-TEST(EngineTest, RejectsSimulatorOnlyKnobs) {
-  StrictTwoPhaseLocking policy;
-  std::vector<TxnScript> scripts = {Script({W(0)})};
+// The engine runs every RestartPolicy knob through the same governance as
+// the simulator. All scripts arrive at once on the engine, so a shedding
+// gate of g admits scripts 1..g, exactly as the simulator does with every
+// arrival at tick 0; a queueing gate of 1 runs one transaction at a time;
+// and the watchdog boosts chronic restarters of a hot spot until every
+// transaction commits.
+TEST(EngineTest, RunsWatchdogAndAdmissionGate) {
+  std::vector<TxnScript> scripts;
+  for (ItemId i = 0; i < 8; ++i) scripts.push_back(Script({W(i), R(i + 1)}));
+  const auto committed = [](const Schedule& schedule) {
+    std::set<TxnId> txns;
+    for (const Operation& op : schedule.ops()) txns.insert(op.txn);
+    return txns;
+  };
 
-  EngineConfig with_boost;
-  with_boost.restart.max_restarts_before_boost = 3;
-  EXPECT_EQ(RunEngine(policy, scripts, with_boost).status().code(),
-            StatusCode::kUnimplemented);
+  EngineConfig shed = FastEngineConfig(4);
+  shed.restart.max_live_txns = 3;
+  shed.restart.overflow = RestartPolicy::Overflow::kShed;
+  StrictTwoPhaseLocking shed_policy;
+  auto shed_run = RunEngine(shed_policy, scripts, shed);
+  ASSERT_TRUE(shed_run.ok()) << shed_run.status();
+  EXPECT_EQ(shed_run->shed, 5u);
+  EXPECT_EQ(shed_run->completed, 3u);
+  EXPECT_EQ(committed(shed_run->schedule), (std::set<TxnId>{1, 2, 3}));
+  StrictTwoPhaseLocking sim_policy;
+  auto sim_run = RunSimulation(sim_policy, scripts, shed);
+  ASSERT_TRUE(sim_run.ok()) << sim_run.status();
+  EXPECT_EQ(sim_run->shed, 5u);
+  EXPECT_EQ(committed(sim_run->schedule), committed(shed_run->schedule));
 
-  EngineConfig with_gate;
-  with_gate.restart.max_live_txns = 2;
-  EXPECT_EQ(RunEngine(policy, scripts, with_gate).status().code(),
-            StatusCode::kUnimplemented);
+  EngineConfig queue = FastEngineConfig(4);
+  queue.op_latency_micros = 100;  // overlapping transactions would interleave
+  queue.restart.max_live_txns = 1;
+  StrictTwoPhaseLocking queue_policy;
+  auto queue_run = RunEngine(queue_policy, scripts, queue);
+  ASSERT_TRUE(queue_run.ok()) << queue_run.status();
+  EXPECT_EQ(queue_run->completed, scripts.size());
+  EXPECT_EQ(queue_run->shed, 0u);
+  std::set<TxnId> finished;
+  const OpSequence& ops = queue_run->schedule.ops();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (i > 0 && ops[i].txn != ops[i - 1].txn) {
+      EXPECT_TRUE(finished.insert(ops[i - 1].txn).second)
+          << "T" << ops[i - 1].txn << " resumes after another transaction";
+    }
+  }
+  EXPECT_EQ(finished.count(ops.back().txn), 0u);
+
+  std::vector<TxnScript> hot;
+  for (int i = 0; i < 24; ++i) hot.push_back(Script({R(0), W(0)}));
+  EngineConfig watchdog = FastEngineConfig(4);
+  watchdog.op_latency_micros = 100;
+  watchdog.restart.max_restarts_before_boost = 1;
+  TimestampOrderingPolicy to_policy(hot.size());
+  auto to_run = RunEngine(to_policy, hot, watchdog);
+  ASSERT_TRUE(to_run.ok()) << to_run.status();
+  EXPECT_GT(to_run->boosts, 0u);
+  EXPECT_EQ(to_run->completed, hot.size());
+  EXPECT_EQ(to_policy.active_stamp_entries(), 0u);
+  EXPECT_TRUE(IsConflictSerializable(to_run->schedule));
 }
 
 TEST(EngineConfigTest, ValidateAcceptsConsistentKnobs) {

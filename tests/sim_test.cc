@@ -112,8 +112,39 @@ TEST(SimTest, MaxTicksGuard) {
       policy, {Script({R(0), R(1), R(2)}), Script({R(3), R(4), R(5)})},
       config);
   ASSERT_FALSE(result.ok());
-  // A spent tick budget is typed like the engine's wall-clock budget.
+  // A spent tick budget is typed like the engine's wall-clock budget, and
+  // says what the live transactions were doing and which restarted most.
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(result.status().message(),
+            "simulation exceeded max_ticks=1: 2 live, 0 boosted, 0 parked, "
+            "0 blocked; most restarted live T1 (0 restarts, pc 1)");
+
+  // Three transactions blocked; T2, a deadlock victim, restarted once.
+  StrictTwoPhaseLocking locking;
+  config.max_ticks = 2;
+  config.restart.backoff = RestartPolicy::Backoff::kImmediate;
+  result = RunSimulation(locking,
+                         {Script({W(0), W(1), W(2)}), Script({W(1), W(0)}),
+                          Script({W(2), W(1)}), Script({W(2)})},
+                         config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(),
+            "simulation exceeded max_ticks=2: 4 live, 0 boosted, 0 parked, "
+            "3 blocked; most restarted live T2 (1 restarts, pc 0)");
+
+  // Four TO read-modify-writes of one item under a watchdog of 1: T1 and
+  // T2 are boosted, T1 holds the privilege and T2 is parked behind it.
+  TimestampOrderingPolicy ordering(4);
+  config.max_ticks = 5;
+  config.restart.max_restarts_before_boost = 1;
+  result = RunSimulation(ordering,
+                         {Script({R(0), W(0)}), Script({R(0), W(0)}),
+                          Script({R(0), W(0)}), Script({R(0), W(0)})},
+                         config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(),
+            "simulation exceeded max_ticks=5: 2 live, 2 boosted, 1 parked, "
+            "0 blocked; most restarted live T1 (2 restarts, pc 1)");
 }
 
 // A restart delay near UINT64_MAX saturates instead of wrapping: the
@@ -384,14 +415,17 @@ TEST(SimGoldenTest, AdmissionGateShed) {
                      24.074074074074073});
 }
 
+// Boosted wound victims still pay the backoff (a wound is the policy's
+// priority call), so these two runs back off more than a privilege-first
+// re-entry would.
 TEST(SimGoldenTest, WatchdogBoostsWoundVictims) {
   const Workload w = Contended(30, 6, 0.3, 100, 1);
   WoundWaitPolicy policy(w.scripts.size());
   EngineConfig config;
   config.restart.max_restarts_before_boost = 3;
   ExpectFingerprint(RunSimulation(policy, w.scripts, config),
-                    {353230997922834784ull, 174, 30, 0, 0, 87, 9, 0, 606, 180,
-                     41.633333333333333});
+                    {13171079203260236908ull, 234, 30, 0, 0, 79, 7, 0, 910,
+                     148, 48.033333333333331});
 }
 
 TEST(SimGoldenTest, WatchdogBoostsBehindAdmissionGate) {
@@ -401,8 +435,29 @@ TEST(SimGoldenTest, WatchdogBoostsBehindAdmissionGate) {
   config.restart.max_restarts_before_boost = 1;
   config.restart.max_live_txns = 4;
   ExpectFingerprint(RunSimulation(policy, w.scripts, config),
-                    {12420826142034647244ull, 119, 30, 0, 0, 17, 3, 0, 84, 34,
-                     16.333333333333332});
+                    {13239272329375336684ull, 128, 30, 0, 0, 17, 3, 0, 114, 34,
+                     17.899999999999999});
+}
+
+// The watchdog must not livelock wound-wait. A boosted victim that
+// re-entered at once, privileged, re-took its lock on the next tick ahead
+// of an older, never-boosted waiter, which wounded it again, and every one
+// of these runs spent its tick budget. Every run finishes.
+TEST(SimGoldenTest, WatchdogDoesNotLivelockWoundWait) {
+  for (uint64_t seed = 9; seed <= 12; ++seed) {
+    const Workload w = Contended(40, 3, 0.0, 20, seed);
+    for (uint64_t boost : {1, 3, 6}) {
+      WoundWaitPolicy policy(w.scripts.size());
+      EngineConfig config;
+      config.max_ticks = 200'000;
+      config.restart.max_restarts_before_boost = boost;
+      Result<SimResult> result = RunSimulation(policy, w.scripts, config);
+      ASSERT_TRUE(result.ok())
+          << "seed " << seed << ", boost " << boost << ": " << result.status();
+      EXPECT_EQ(result->completed, 40u);
+      EXPECT_GT(result->boosts, 0u);
+    }
+  }
 }
 
 TEST(SimGoldenTest, WatchdogBoostsSelfAborts) {
